@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "core/experiment.h"
 #include "model/platform.h"
+#include "obs/report.h"
 #include "util/instrument.h"
 #include "util/table.h"
 
@@ -60,22 +61,8 @@ int main(int argc, char** argv) {
   // Where the time went: aggregate allocator effort across the whole sweep
   // (all solutions, all tasksets).
   const auto& c = effort.counters();
-  util::Table et({"allocator effort (sweep total)", "value"});
-  et.add_row("k-means runs", c.kmeans_runs);
-  et.add_row("k-means iterations", c.kmeans_iterations);
-  et.add_row("candidate packings", c.candidate_packings);
-  et.add_row("admission tests", c.admission_tests);
-  et.add_row("admission passed", c.admission_passed);
-  et.add_row("dbf evaluations", c.dbf_evaluations);
-  et.add_row("min-budget searches", c.budget_evaluations);
-  et.add_row("budget memo hits", c.budget_cache_hits);
-  et.add_row("core-load memo hits", c.load_cache_hits);
-  et.add_row("partition grants", c.partition_grants);
-  et.add_row("vcpu migrations", c.vcpu_migrations);
-  et.add_row("VM-level alloc seconds", c.vm_alloc_seconds);
-  et.add_row("HV-level alloc seconds", c.hv_alloc_seconds);
   std::cout << '\n';
-  et.print(std::cout);
+  obs::write_alloc_effort(std::cout, c, "Allocator effort (sweep total)");
 
   bench::maybe_write_report(
       opt, bench::experiment_report("fig4_runtime", opt, cfg, result, c));

@@ -1,7 +1,6 @@
 #include "analysis/context.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -12,18 +11,6 @@
 #include "util/thread_pool.h"
 
 namespace vc2m::analysis {
-
-namespace {
-std::atomic<bool> g_fast_kernels{true};
-}  // namespace
-
-bool fast_kernels_enabled() {
-  return g_fast_kernels.load(std::memory_order_relaxed);
-}
-
-void set_fast_kernels(bool enabled) {
-  g_fast_kernels.store(enabled, std::memory_order_relaxed);
-}
 
 void AnalysisContext::emit_budget_search(
     std::span<const PTask> tasks, util::Time period,
@@ -68,7 +55,7 @@ const AnalysisContext::CheckpointEntry& AnalysisContext::checkpoints_for(
       .first->second;
 }
 
-std::optional<util::Time> AnalysisContext::compute_min_budget_fast(
+std::optional<util::Time> AnalysisContext::compute_min_budget(
     std::span<const PTask> tasks, util::Time period, const CheckpointEntry* ck,
     double total_util, util::Arena& scratch) {
   // Mirrors min_budget_edf's early-outs exactly; when neither fires the
@@ -88,8 +75,7 @@ std::optional<util::Time> AnalysisContext::compute_min_budget_fast(
 }
 
 std::optional<util::Time> AnalysisContext::min_budget(
-    std::span<const PTask> tasks, util::Time period,
-    std::optional<util::Time> feasible_hint) {
+    std::span<const PTask> tasks, util::Time period) {
   std::vector<std::int64_t> key;
   key.reserve(2 * tasks.size() + 1);
   key.push_back(period.raw_ns());
@@ -106,21 +92,11 @@ std::optional<util::Time> AnalysisContext::min_budget(
 
   if (auto* ctr = util::alloc_counters()) ++ctr->budget_evaluations;
   VC2M_PROFILE_PHASE("min_budget");
-  std::optional<util::Time> theta;
-  if (fast_kernels_enabled()) {
-    // The hint is ignored on purpose: with the demand curve precomputed the
-    // extra binary-search probes cost only sbf comparisons, and the result
-    // is identical with or without the bound.
-    const double u = total_utilization(tasks);
-    const CheckpointEntry* ck = nullptr;
-    if (!tasks.empty() && u <= 1.0 + 1e-12)
-      ck = &checkpoints_for(tasks, period);
-    theta = compute_min_budget_fast(tasks, period, ck, u, arena_);
-  } else {
-    theta = feasible_hint
-                ? min_budget_edf_bounded(tasks, period, *feasible_hint)
-                : min_budget_edf(tasks, period);
-  }
+  const double u = total_utilization(tasks);
+  const CheckpointEntry* ck = nullptr;
+  if (!tasks.empty() && u <= 1.0 + 1e-12) ck = &checkpoints_for(tasks, period);
+  const std::optional<util::Time> theta =
+      compute_min_budget(tasks, period, ck, u, arena_);
   emit_budget_search(tasks, period, theta);
   budget_memo_.emplace(std::move(key), theta);
   return theta;
@@ -197,8 +173,8 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
       // Serial compute: counters land directly in the context scope, in job
       // order — the baseline the striped path reproduces.
       for (auto& job : jobs)
-        job.theta = compute_min_budget_fast(queries[job.first], period,
-                                            job.ck, job.util, arena_);
+        job.theta = compute_min_budget(queries[job.first], period, job.ck,
+                                       job.util, arena_);
     } else {
       // Striped compute: job j runs on stripe j % stripes. Each stripe has
       // its own arena (arenas are single-threaded) and each job its own
@@ -220,7 +196,7 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
           try {
             for (std::size_t j = s; j < jobs.size(); j += stripes) {
               util::AllocCounterScope scope;
-              jobs[j].theta = compute_min_budget_fast(
+              jobs[j].theta = compute_min_budget(
                   queries[jobs[j].first], period, jobs[j].ck, jobs[j].util,
                   stripe_arenas[s]);
               jobs[j].counters = scope.counters();

@@ -11,7 +11,7 @@
 //
 // The memo is bit-identity-preserving: a hit returns exactly the value the
 // unmemoized analysis::min_budget_edf call produced for the identical key.
-// Beyond the memo, the context owns the analysis fast path
+// Beyond the memo, the context owns the analysis hot path
 // (docs/performance.md):
 //  - a per-solve bump Arena for all scratch (checkpoint buffers, demand
 //    curves, per-cell task views, packing work arrays);
@@ -23,10 +23,11 @@
 //    with a serial-order reduction so results *and* AllocCounters are
 //    bit-identical at any inner-jobs count.
 //
-// set_fast_kernels(false) routes every query through the original
-// span-of-PTask reference kernels; allocations and budget_evaluations are
-// identical either way (tests/test_golden.cpp pins this), only
-// dbf_evaluations and wall time differ.
+// The span-of-PTask kernels (dbf in analysis/dbf.h, min_budget_edf in
+// analysis/prm.h) are the reference this context is tested against, not a
+// runtime alternative: tests/test_analysis.cpp checks min_budget and
+// min_budget_batch against min_budget_edf on random task groups, and
+// tests/test_golden.cpp pins the allocations of whole sweeps.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,6 @@ class ThreadPool;
 
 namespace vc2m::analysis {
 
-/// Process-wide toggle for the SoA/arena fast kernels (default on). The
-/// verdicts, minima and budget_evaluations are identical either way; the
-/// toggle exists so tests and A/B benches can pin that equivalence.
-bool fast_kernels_enabled();
-void set_fast_kernels(bool enabled);
-
 class AnalysisContext {
  public:
   /// Opens an AllocCounterScope: every instrumented call made while this
@@ -63,17 +58,11 @@ class AnalysisContext {
   AnalysisContext(const AnalysisContext&) = delete;
   AnalysisContext& operator=(const AnalysisContext&) = delete;
 
-  /// Memoized analysis::min_budget_edf. `feasible_hint`, when set, must be
-  /// a budget believed feasible for `tasks` (e.g. the minimum budget of the
-  /// same task group at a grid point with fewer resources — budget surfaces
-  /// are non-increasing in cache/BW); it bounds the binary search from
-  /// above. Hints are verified before use, so a wrong hint costs one
-  /// schedulability test but never changes the returned minimum. The fast
-  /// path ignores hints entirely: its precomputed demand curve makes the
-  /// extra binary-search probes nearly free, and the result is identical.
-  std::optional<util::Time> min_budget(
-      std::span<const PTask> tasks, util::Time period,
-      std::optional<util::Time> feasible_hint = std::nullopt);
+  /// Memoized analysis::min_budget_edf, computed on the cached checkpoint
+  /// stream with demand evaluated once rather than once per binary-search
+  /// probe. Returns exactly what min_budget_edf(tasks, period) returns.
+  std::optional<util::Time> min_budget(std::span<const PTask> tasks,
+                                       util::Time period);
 
   /// One query of a min-budget surface batch. `searched` is true when this
   /// query ran a fresh search (a memo miss — exactly the queries for which
@@ -87,9 +76,9 @@ class AnalysisContext {
   /// Answer `queries` (task groups sharing the VCPU period Π) exactly as a
   /// serial loop of min_budget(queries[j], period) would — same memo
   /// hit/miss pattern, same budget_evaluations/budget_cache_hits, same
-  /// minima — but over the fast kernels, with duplicate queries coalesced
-  /// and the distinct searches optionally striped over the pool configured
-  /// via set_inner_parallelism(). Counters from striped work are merged in
+  /// minima — with duplicate queries coalesced and the distinct searches
+  /// optionally striped over the pool configured via
+  /// set_inner_parallelism(). Counters from striped work are merged in
   /// job-index order on the calling thread, so AllocCounters totals are
   /// bit-identical at any inner-jobs value (docs/performance.md spells out
   /// the determinism contract). Emits no decision events; the caller
@@ -158,13 +147,15 @@ class AnalysisContext {
   const CheckpointEntry& checkpoints_for(std::span<const PTask> tasks,
                                          util::Time period);
 
-  /// The fast-kernel min-budget computation (no memo, no events): demand
-  /// precomputed once over the cached checkpoints, then the binary search
-  /// re-runs only supply comparisons. `scratch` backs the wcet/demand
-  /// columns. Bit-identical result to min_budget_edf(tasks, period).
-  std::optional<util::Time> compute_min_budget_fast(
-      std::span<const PTask> tasks, util::Time period,
-      const CheckpointEntry* ck, double total_util, util::Arena& scratch);
+  /// The min-budget computation (no memo, no events): demand precomputed
+  /// once over the cached checkpoints, then the binary search re-runs only
+  /// supply comparisons. `scratch` backs the wcet/demand columns.
+  /// Bit-identical result to min_budget_edf(tasks, period).
+  std::optional<util::Time> compute_min_budget(std::span<const PTask> tasks,
+                                               util::Time period,
+                                               const CheckpointEntry* ck,
+                                               double total_util,
+                                               util::Arena& scratch);
 
   std::unordered_map<std::vector<std::int64_t>, std::optional<util::Time>,
                      KeyHash>

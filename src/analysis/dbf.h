@@ -7,7 +7,8 @@
 //
 // Two call styles coexist:
 //  - The span-of-PTask functions are the reference kernels (readable,
-//    allocation-per-call); tests pin the fast path against them.
+//    allocation-per-call). The solvers never call dbf/dbf_checkpoints;
+//    tests pin the hot path against them.
 //  - `TaskArrays` is the structure-of-arrays view the hot path uses:
 //    contiguous period/wcet/utilization columns validated once at assign()
 //    time, so the demand-sum inner loops are branchless (no per-element

@@ -38,27 +38,6 @@ bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm) {
   return true;
 }
 
-namespace {
-
-/// Budget feasibility is monotone in Θ: binary search the minimum feasible
-/// budget in [U·Π, hi]. `hi` must be feasible, so the minimum exists.
-util::Time search_min_budget(std::span<const PTask> tasks, util::Time period,
-                             double u, util::Time hi) {
-  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
-      u * static_cast<double>(period.raw_ns())));  // U·Π is a lower bound
-  while (lo < hi) {
-    const util::Time mid = util::Time::ns(
-        lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-    if (edf_schedulable_on_prm(tasks, Prm{period, mid}))
-      hi = mid;
-    else
-      lo = mid + util::Time::ns(1);
-  }
-  return hi;
-}
-
-}  // namespace
-
 std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
                                          util::Time period) {
   VC2M_CHECK(period > util::Time::zero());
@@ -70,32 +49,20 @@ std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
   // Feasible at Θ = Π iff schedulable on a dedicated core.
   if (!edf_schedulable_on_prm(tasks, Prm{period, period})) return std::nullopt;
 
-  return search_min_budget(tasks, period, u, period);
-}
-
-std::optional<util::Time> min_budget_edf_bounded(std::span<const PTask> tasks,
-                                                 util::Time period,
-                                                 util::Time feasible_hi) {
-  VC2M_CHECK(period > util::Time::zero());
-  if (tasks.empty()) return util::Time::zero();
-
-  const double u = total_utilization(tasks);
-  if (u > 1.0 + 1e-12) return std::nullopt;
-
-  // A hint at or above Π adds nothing over the Θ = Π probe; and a hint
-  // below the U·Π lower bound cannot bracket the search from above.
-  if (feasible_hi >= period ||
-      feasible_hi < util::Time::ns(static_cast<std::int64_t>(
-                        u * static_cast<double>(period.raw_ns()))))
-    return min_budget_edf(tasks, period);
-
-  // Verify the hint (one schedulability test): when it holds it doubles as
-  // the Θ = Π feasibility probe and tightens the search window; when it
-  // does not, fall back to the unhinted path so the result never changes.
-  if (!edf_schedulable_on_prm(tasks, Prm{period, feasible_hi}))
-    return min_budget_edf(tasks, period);
-
-  return search_min_budget(tasks, period, u, feasible_hi);
+  // Budget feasibility is monotone in Θ: binary search the minimum feasible
+  // budget in [U·Π, Π].
+  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
+      u * static_cast<double>(period.raw_ns())));  // U·Π is a lower bound
+  util::Time hi = period;
+  while (lo < hi) {
+    const util::Time mid =
+        util::Time::ns(lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
+    if (edf_schedulable_on_prm(tasks, Prm{period, mid}))
+      hi = mid;
+    else
+      lo = mid + util::Time::ns(1);
+  }
+  return hi;
 }
 
 bool curve_schedulable(const DemandCurve& curve, double total_util,
@@ -126,7 +93,7 @@ std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
   if (!curve_schedulable(curve, total_util, Prm{period, period}))
     return std::nullopt;
 
-  // Identical bracket and midpoint arithmetic to search_min_budget.
+  // Identical bracket and midpoint arithmetic to min_budget_edf.
   util::Time lo = util::Time::ns(static_cast<std::int64_t>(
       total_util * static_cast<double>(period.raw_ns())));
   util::Time hi = period;

@@ -44,29 +44,19 @@ bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm);
 std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
                                          util::Time period);
 
-/// min_budget_edf with a caller-supplied upper bound for the binary search:
-/// `feasible_hi` should be a budget believed feasible for `tasks` (e.g. the
-/// minimum budget of the same tasks under a pointwise-larger WCET surface —
-/// budget surfaces are non-increasing in cache/BW). The hint is verified
-/// with one schedulability test before it replaces the Θ = Π feasibility
-/// probe; if it does not hold, the full search runs instead. The returned
-/// minimum is always identical to min_budget_edf(tasks, period) — the hint
-/// only reduces how many demand-bound evaluations finding it takes.
-std::optional<util::Time> min_budget_edf_bounded(std::span<const PTask> tasks,
-                                                 util::Time period,
-                                                 util::Time feasible_hi);
-
 // ---------------------------------------------------------------------------
-// Precomputed-demand fast path (the SoA kernels; see docs/performance.md).
+// Precomputed-demand kernels (the path every solver takes, through
+// AnalysisContext; see docs/performance.md).
 //
 // Inside one min-budget binary search the taskset is fixed: the checkpoint
 // set and the demand at every checkpoint do not depend on the probed Θ.
-// The reference path above nevertheless re-derives both per probe (a fresh
-// dbf_checkpoints allocation + sort, then one dbf() per point). The curve
-// form computes demand once and re-runs only the Θ-dependent sbf
-// comparisons — the verdict of every probe, and therefore the returned
-// minimum, is bit-identical to the reference (integer demand/supply, and
-// the same ordered double sum for the rate condition).
+// The reference kernels above nevertheless re-derive both per probe (a
+// fresh dbf_checkpoints allocation + sort, then one dbf() per point); they
+// are kept as the test oracle. The curve form computes demand once and
+// re-runs only the Θ-dependent sbf comparisons — the verdict of every
+// probe, and therefore the returned minimum, is bit-identical to the
+// reference (integer demand/supply, and the same ordered double sum for the
+// rate condition).
 
 /// One task group's demand, precomputed over the dbf checkpoints of its
 /// (periods, horizon) pair. Both spans borrow caller storage (typically an

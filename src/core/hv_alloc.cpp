@@ -1,7 +1,6 @@
 #include "core/hv_alloc.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <numeric>
 
@@ -317,34 +316,10 @@ HvAllocResult to_result(CoreState&& st, bool schedulable) {
 
 }  // namespace
 
-namespace {
-
-/// RAII wall timer adding its scope's duration to an AllocCounters field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double util::AllocCounters::* field)
-      : field_(field), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (auto* ctr = util::alloc_counters())
-      ctr->*field_ += std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double util::AllocCounters::* field_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
-
 HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
                                  const model::PlatformSpec& platform,
                                  const HvAllocConfig& cfg, util::Rng& rng) {
   VC2M_CHECK(!vcpus.empty());
-  PhaseTimer timer(&util::AllocCounters::hv_alloc_seconds);
   VC2M_PROFILE_PHASE("hv_alloc");
   const auto& grid = platform.grid;
 
@@ -450,7 +425,6 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
 HvAllocResult allocate_even_partition(std::span<const model::Vcpu> vcpus,
                                       const model::PlatformSpec& platform) {
   VC2M_CHECK(!vcpus.empty());
-  PhaseTimer timer(&util::AllocCounters::hv_alloc_seconds);
   VC2M_PROFILE_PHASE("hv_alloc");
   VC2M_PROFILE_PHASE("even_partition");
   const auto& grid = platform.grid;

@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json.h"
 #include "util/error.h"
@@ -16,16 +17,12 @@ namespace vc2m::obs {
 
 namespace {
 
-// The JSON primitives live in obs/json.{h,cpp}, shared with the explain
-// report; these aliases keep the writer below readable.
-std::string json_escape(const std::string& s) { return json::escape(s); }
-std::string num(double v) { return json::number(v); }
-
 void write_phase(std::ostream& os, const PhaseStats& p, int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
-  os << pad << "{\"name\": \"" << json_escape(p.name)
-     << "\", \"count\": " << p.count << ", \"total_sec\": " << num(p.total_sec)
-     << ", \"self_sec\": " << num(p.self_sec) << ", \"children\": [";
+  os << pad << "{\"name\": \"" << json::escape(p.name)
+     << "\", \"count\": " << p.count
+     << ", \"total_sec\": " << json::number(p.total_sec)
+     << ", \"self_sec\": " << json::number(p.self_sec) << ", \"children\": [";
   for (std::size_t i = 0; i < p.children.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n");
     write_phase(os, p.children[i], indent + 2);
@@ -35,10 +32,13 @@ void write_phase(std::ostream& os, const PhaseStats& p, int indent) {
 }
 
 void write_histogram(std::ostream& os, const HistogramSummary& h) {
-  os << "{\"count\": " << h.count << ", \"mean\": " << num(h.mean)
-     << ", \"min\": " << num(h.min) << ", \"max\": " << num(h.max)
-     << ", \"p50\": " << num(h.p50) << ", \"p90\": " << num(h.p90)
-     << ", \"p95\": " << num(h.p95) << ", \"p99\": " << num(h.p99) << "}";
+  os << "{\"count\": " << h.count << ", \"mean\": " << json::number(h.mean)
+     << ", \"min\": " << json::number(h.min)
+     << ", \"max\": " << json::number(h.max)
+     << ", \"p50\": " << json::number(h.p50)
+     << ", \"p90\": " << json::number(h.p90)
+     << ", \"p95\": " << json::number(h.p95)
+     << ", \"p99\": " << json::number(h.p99) << "}";
 }
 
 // The reader parses through obs::json (strict: duplicate keys and
@@ -92,19 +92,18 @@ HistogramSummary parse_histogram(const JsonValue& v) {
 
 /// Counters where growth means the run did *better* (more reuse, more
 /// admissions) or that measure solution quality rather than effort — the
-/// diff gate must not flag them as regressions.
+/// `exempt` column of VC2M_ALLOC_COUNTERS. The diff gate must not flag them
+/// as regressions.
 bool counter_exempt(const std::string& name) {
-  const auto ends_with = [&](const char* suffix) {
-    const std::string suf(suffix);
+  const auto ends_with = [&](std::string_view suf) {
     return name.size() >= suf.size() &&
            name.compare(name.size() - suf.size(), suf.size(), suf) == 0;
   };
-  // arena_bytes tracks scratch reuse (higher = more work routed through the
-  // arena, not more effort); inner_tasks counts batched queries, which the
-  // legacy kernels report as zero.
-  return ends_with("cache_hits") || ends_with("passed") ||
-         ends_with("final_shift") || ends_with("arena_bytes") ||
-         ends_with("inner_tasks");
+#define VC2M_EXEMPT(type, field, label, exempt) \
+  if (exempt && ends_with(#field)) return true;
+  VC2M_ALLOC_COUNTERS(VC2M_EXEMPT)
+#undef VC2M_EXEMPT
+  return false;
 }
 
 }  // namespace
@@ -156,38 +155,23 @@ std::string build_git_rev() {
 }
 
 void set_counters(BenchReport& r, const util::AllocCounters& c) {
-  r.counters["kmeans_runs"] = static_cast<double>(c.kmeans_runs);
-  r.counters["kmeans_iterations"] = static_cast<double>(c.kmeans_iterations);
-  r.counters["kmeans_final_shift"] = c.kmeans_final_shift;
-  r.counters["admission_tests"] = static_cast<double>(c.admission_tests);
-  r.counters["admission_passed"] = static_cast<double>(c.admission_passed);
-  r.counters["dbf_evaluations"] = static_cast<double>(c.dbf_evaluations);
-  r.counters["budget_evaluations"] =
-      static_cast<double>(c.budget_evaluations);
-  r.counters["budget_cache_hits"] = static_cast<double>(c.budget_cache_hits);
-  r.counters["load_cache_hits"] = static_cast<double>(c.load_cache_hits);
-  r.counters["arena_bytes"] = static_cast<double>(c.arena_bytes);
-  r.counters["soa_rebuilds"] = static_cast<double>(c.soa_rebuilds);
-  r.counters["inner_tasks"] = static_cast<double>(c.inner_tasks);
-  r.counters["candidate_packings"] =
-      static_cast<double>(c.candidate_packings);
-  r.counters["partition_grants"] = static_cast<double>(c.partition_grants);
-  r.counters["vcpu_migrations"] = static_cast<double>(c.vcpu_migrations);
-  r.counters["vm_alloc_seconds"] = c.vm_alloc_seconds;
-  r.counters["hv_alloc_seconds"] = c.hv_alloc_seconds;
+#define VC2M_SET_COUNTER(type, name, label, exempt) \
+  r.counters[#name] = static_cast<double>(c.name);
+  VC2M_ALLOC_COUNTERS(VC2M_SET_COUNTER)
+#undef VC2M_SET_COUNTER
 }
 
 void write_bench_report(std::ostream& os, const BenchReport& r) {
   os << "{\n";
-  os << "\"schema\": \"" << json_escape(r.schema) << "\",\n";
-  os << "\"name\": \"" << json_escape(r.name) << "\",\n";
-  os << "\"git_rev\": \"" << json_escape(r.git_rev) << "\",\n";
+  os << "\"schema\": \"" << json::escape(r.schema) << "\",\n";
+  os << "\"name\": \"" << json::escape(r.name) << "\",\n";
+  os << "\"git_rev\": \"" << json::escape(r.git_rev) << "\",\n";
 
   os << "\"config\": {";
   bool first = true;
   for (const auto& [k, v] : r.config) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": \""
-       << json_escape(v) << "\"";
+    os << (first ? "\n" : ",\n") << "  \"" << json::escape(k) << "\": \""
+       << json::escape(v) << "\"";
     first = false;
   }
   os << (first ? "" : "\n") << "},\n";
@@ -195,8 +179,8 @@ void write_bench_report(std::ostream& os, const BenchReport& r) {
   os << "\"counters\": {";
   first = true;
   for (const auto& [k, v] : r.counters) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k)
-       << "\": " << num(v);
+    os << (first ? "\n" : ",\n") << "  \"" << json::escape(k)
+       << "\": " << json::number(v);
     first = false;
   }
   os << (first ? "" : "\n") << "},\n";
@@ -211,7 +195,7 @@ void write_bench_report(std::ostream& os, const BenchReport& r) {
   os << "\"histograms\": {";
   first = true;
   for (const auto& [k, h] : r.histograms) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": ";
+    os << (first ? "\n" : ",\n") << "  \"" << json::escape(k) << "\": ";
     write_histogram(os, h);
     first = false;
   }
@@ -221,7 +205,8 @@ void write_bench_report(std::ostream& os, const BenchReport& r) {
   for (std::size_t i = 0; i < r.pool.workers.size(); ++i) {
     const auto& w = r.pool.workers[i];
     os << (i == 0 ? "\n" : ",\n") << "  {\"executed\": " << w.executed
-       << ", \"steals\": " << w.steals << ", \"idle_sec\": " << num(w.idle_sec)
+       << ", \"steals\": " << w.steals
+       << ", \"idle_sec\": " << json::number(w.idle_sec)
        << ", \"max_queue\": " << w.max_queue << "}";
   }
   os << (r.pool.workers.empty() ? "" : "\n") << "]}\n";
@@ -347,10 +332,7 @@ PerfDiffResult diff_reports(const BenchReport& base, const BenchReport& current,
     e.key = name;
     e.base = b;
     e.current = it->second;
-    const bool is_time = name.size() >= 8 &&
-                         name.compare(name.size() - 8, 8, "_seconds") == 0;
-    e.regression = regressed(e.base, e.current,
-                             is_time ? opt.min_abs_sec : opt.min_abs_count);
+    e.regression = regressed(e.base, e.current, opt.min_abs_count);
     d.entries.push_back(e);
   }
   for (const auto& [name, c] : current.counters)

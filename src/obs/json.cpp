@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -136,6 +137,26 @@ class Parser {
     return v;
   }
 
+  /// The character of a \uXXXX escape, pos_ just past the 'u'. Only
+  /// ASCII code points are accepted: escape() emits \u00XX for control
+  /// characters and writes every other byte as itself.
+  char ascii_escape() {
+    const std::size_t at = pos_;
+    const std::string hex = s_.substr(pos_, 4);
+    VC2M_CHECK_MSG(hex.size() == 4 &&
+                       std::all_of(hex.begin(), hex.end(),
+                                   [](unsigned char h) {
+                                     return std::isxdigit(h) != 0;
+                                   }),
+                   what_ << " JSON: bad \\u escape at offset " << at);
+    const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
+    VC2M_CHECK_MSG(cp < 0x80, what_ << " JSON: unsupported non-ASCII \\u "
+                                       "escape at offset "
+                                    << at);
+    pos_ += 4;
+    return static_cast<char>(cp);
+  }
+
   std::string string() {
     expect('"');
     std::string out;
@@ -153,11 +174,16 @@ class Parser {
           case 'n': out.push_back('\n'); break;
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
+          case 'u': out.push_back(ascii_escape()); break;
           default:
             VC2M_CHECK_MSG(false, what_ << " JSON: unsupported escape '\\"
                                         << e << "'");
         }
       } else {
+        VC2M_CHECK_MSG(static_cast<unsigned char>(c) >= 0x20,
+                       what_ << " JSON: raw control character in string at "
+                                "offset "
+                             << pos_ - 1);
         out.push_back(c);
       }
     }

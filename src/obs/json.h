@@ -12,7 +12,11 @@
 //    of its values silently shadowed);
 //  - non-finite numbers (NaN / Infinity / values overflowing a double) are
 //    rejected with their byte offset — they are not valid JSON, and a NaN
-//    that slipped into a gate comparison would poison every verdict.
+//    that slipped into a gate comparison would poison every verdict;
+//  - raw control characters inside strings are rejected (RFC 8259 requires
+//    them escaped), so a writer that forgets escape() is caught on
+//    read-back. \u escapes are accepted for ASCII, which covers the
+//    \u00XX form escape() emits for control characters.
 //
 // Errors throw util::Error with "<what> JSON: ... at offset N" messages,
 // where <what> names the artifact being parsed.

@@ -18,6 +18,17 @@ std::string core_metric(std::size_t k, const char* what) {
   return "core." + std::to_string(k) + "." + what;
 }
 
+// Integer counters become registry counters, the one real-valued
+// measurement (kmeans_final_shift) a gauge.
+void record_alloc(MetricsRegistry& registry, const std::string& name,
+                  std::uint64_t v) {
+  registry.counter(name).inc(v);
+}
+void record_alloc(MetricsRegistry& registry, const std::string& name,
+                  double v) {
+  registry.gauge(name).set(v);
+}
+
 }  // namespace
 
 const std::vector<double>& ratio_bounds() {
@@ -113,23 +124,10 @@ void MetricsRecorder::finalize(const sim::SimStats& stats,
 
 void record_alloc_counters(MetricsRegistry& registry,
                            const util::AllocCounters& counters) {
-  registry.counter("alloc.kmeans_runs").inc(counters.kmeans_runs);
-  registry.counter("alloc.kmeans_iterations").inc(counters.kmeans_iterations);
-  registry.gauge("alloc.kmeans_final_shift").set(counters.kmeans_final_shift);
-  registry.counter("alloc.admission_tests").inc(counters.admission_tests);
-  registry.counter("alloc.admission_passed").inc(counters.admission_passed);
-  registry.counter("alloc.dbf_evaluations").inc(counters.dbf_evaluations);
-  registry.counter("alloc.budget_evaluations").inc(counters.budget_evaluations);
-  registry.counter("alloc.budget_cache_hits").inc(counters.budget_cache_hits);
-  registry.counter("alloc.load_cache_hits").inc(counters.load_cache_hits);
-  registry.counter("alloc.arena_bytes").inc(counters.arena_bytes);
-  registry.counter("alloc.soa_rebuilds").inc(counters.soa_rebuilds);
-  registry.counter("alloc.inner_tasks").inc(counters.inner_tasks);
-  registry.counter("alloc.candidate_packings").inc(counters.candidate_packings);
-  registry.counter("alloc.partition_grants").inc(counters.partition_grants);
-  registry.counter("alloc.vcpu_migrations").inc(counters.vcpu_migrations);
-  registry.gauge("alloc.vm_alloc_seconds").set(counters.vm_alloc_seconds);
-  registry.gauge("alloc.hv_alloc_seconds").set(counters.hv_alloc_seconds);
+#define VC2M_RECORD(type, name, label, exempt) \
+  record_alloc(registry, "alloc." #name, counters.name);
+  VC2M_ALLOC_COUNTERS(VC2M_RECORD)
+#undef VC2M_RECORD
 }
 
 }  // namespace vc2m::obs

@@ -23,6 +23,10 @@ std::string fmt(double v, int precision = 3) {
   return buf;
 }
 
+// Allocator-effort cells: counts verbatim, real values to 6 places.
+std::uint64_t cell(std::uint64_t v) { return v; }
+std::string cell(double v) { return fmt(v, 6); }
+
 }  // namespace
 
 void write_report(std::ostream& os, const sim::SimConfig& cfg,
@@ -92,27 +96,19 @@ void write_report(std::ostream& os, const sim::SimConfig& cfg,
   }
 
   if (alloc) {
-    util::Table t({"allocator metric", "value"});
-    t.add_row("k-means runs", alloc->kmeans_runs);
-    t.add_row("k-means iterations", alloc->kmeans_iterations);
-    t.add_row("k-means final shift", fmt(alloc->kmeans_final_shift, 6));
-    t.add_row("candidate packings", alloc->candidate_packings);
-    t.add_row("admission tests", alloc->admission_tests);
-    t.add_row("admission passed", alloc->admission_passed);
-    t.add_row("dbf evaluations", alloc->dbf_evaluations);
-    t.add_row("min-budget searches", alloc->budget_evaluations);
-    t.add_row("budget memo hits", alloc->budget_cache_hits);
-    t.add_row("core-load memo hits", alloc->load_cache_hits);
-    t.add_row("arena bytes", alloc->arena_bytes);
-    t.add_row("checkpoint set builds", alloc->soa_rebuilds);
-    t.add_row("batched budget queries", alloc->inner_tasks);
-    t.add_row("partition grants", alloc->partition_grants);
-    t.add_row("vcpu migrations", alloc->vcpu_migrations);
-    t.add_row("VM-level alloc seconds", fmt(alloc->vm_alloc_seconds, 6));
-    t.add_row("HV-level alloc seconds", fmt(alloc->hv_alloc_seconds, 6));
-    t.print(os, "Allocator effort");
+    write_alloc_effort(os, *alloc, "Allocator effort");
     os << '\n';
   }
+}
+
+void write_alloc_effort(std::ostream& os, const util::AllocCounters& c,
+                        const std::string& title) {
+  util::Table t({"allocator metric", "value"});
+#define VC2M_EFFORT_ROW(type, name, label, exempt) \
+  t.add_row(label, cell(c.name));
+  VC2M_ALLOC_COUNTERS(VC2M_EFFORT_ROW)
+#undef VC2M_EFFORT_ROW
+  t.print(os, title);
 }
 
 void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 #include "obs/metrics.h"
 #include "sim/simulation.h"
@@ -23,6 +24,11 @@ void write_report(std::ostream& os, const sim::SimConfig& cfg,
                   const sim::SimStats& stats, const MetricsRegistry& registry,
                   util::Time duration,
                   const util::AllocCounters* alloc = nullptr);
+
+/// The allocator-effort table: one row per util::AllocCounters field
+/// (VC2M_ALLOC_COUNTERS order and labels), printed under `title`.
+void write_alloc_effort(std::ostream& os, const util::AllocCounters& c,
+                        const std::string& title);
 
 /// Raw dump: one `name value` line per metric, deterministic order.
 void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry);

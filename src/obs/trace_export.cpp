@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/error.h"
 #include "util/file.h"
 
@@ -27,16 +28,6 @@ std::string ts_us(util::Time t) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 struct JsonWriter {
   std::ostream& os;
   bool first = true;
@@ -51,7 +42,7 @@ void meta_event(JsonWriter& w, int pid, int tid, const char* key,
   std::ostringstream os;
   os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
      << ",\"name\":\"" << key << "\",\"args\":{\"name\":\""
-     << json_escape(name) << "\"}}";
+     << json::escape(name) << "\"}}";
   w.line(os.str());
 }
 
@@ -61,7 +52,7 @@ void complete_event(JsonWriter& w, int pid, int tid, const char* cat,
   std::ostringstream os;
   os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
      << ",\"ts\":" << ts_us(start) << ",\"dur\":" << ts_us(end - start)
-     << ",\"cat\":\"" << cat << "\",\"name\":\"" << json_escape(name)
+     << ",\"cat\":\"" << cat << "\",\"name\":\"" << json::escape(name)
      << "\"}";
   w.line(os.str());
 }
@@ -72,7 +63,7 @@ void instant_event(JsonWriter& w, int pid, int tid, const char* scope,
   std::ostringstream os;
   os << "{\"ph\":\"i\",\"pid\":" << pid << ",\"tid\":" << tid
      << ",\"ts\":" << ts_us(at) << ",\"s\":\"" << scope << "\",\"cat\":\""
-     << cat << "\",\"name\":\"" << json_escape(name) << "\"";
+     << cat << "\",\"name\":\"" << json::escape(name) << "\"";
   if (task >= 0) {
     os << ",\"args\":{\"task\":" << task;
     if (job >= 0) os << ",\"job\":" << job;
@@ -88,7 +79,7 @@ void counter_event(JsonWriter& w, const std::string& track, util::Time at,
   std::snprintf(num, sizeof num, "%.3f", value);
   std::ostringstream os;
   os << "{\"ph\":\"C\",\"pid\":" << kTelemetryPid << ",\"tid\":0,\"ts\":"
-     << ts_us(at) << ",\"name\":\"" << json_escape(track)
+     << ts_us(at) << ",\"name\":\"" << json::escape(track)
      << "\",\"args\":{\"value\":" << num << "}}";
   w.line(os.str());
 }

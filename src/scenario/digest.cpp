@@ -4,28 +4,24 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/hash.h"
+
 namespace vc2m::scenario {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  using util::fnv1a_u64;
+  std::uint64_t h = util::kFnvOffset;
   for (const auto& v : vcpus) {
-    h = fnv1a(h, static_cast<std::uint64_t>(v.period.raw_ns()));
-    h = fnv1a(h, static_cast<std::uint64_t>(v.vm));
-    for (const std::size_t t : v.tasks) h = fnv1a(h, t);
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(v.period.raw_ns()));
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(v.vm));
+    for (const std::size_t t : v.tasks) h = fnv1a_u64(h, t);
     const auto& g = v.budget.grid();
     for (unsigned c = g.c_min; c <= g.c_max; ++c)
       for (unsigned b = g.b_min; b <= g.b_max; ++b)
-        h = fnv1a(h, static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
+        h = fnv1a_u64(h,
+                      static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
   }
   return h;
 }
@@ -56,14 +52,9 @@ std::string solve_digest(const core::SolveResult& res) {
 }
 
 std::string text_digest(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(util::fnv1a(text)));
   return hex;
 }
 

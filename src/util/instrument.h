@@ -11,64 +11,60 @@
 
 namespace vc2m::util {
 
-/// What the allocator actually did for one solve: clustering effort,
-/// admission tests, demand-bound evaluations, search-space coverage and
-/// per-phase wall time. All counters are cumulative over the scope.
+// The effort counters, listed once: X(type, name, report label, exempt).
+// Every per-field operation — merge() below, the alloc.* registry metrics
+// (obs::record_alloc_counters), the bench-report counter map
+// (obs::set_counters), the allocator-effort table (obs::write_alloc_effort)
+// and perfdiff's exemption list — is generated from this table. `exempt`
+// marks counters where growth is not more effort (more memo reuse, more
+// admissions passed, convergence deltas, scratch routed through an arena,
+// batched cells); perfdiff never flags those as regressions.
+//
+//  - kmeans_*: k-means clustering at VM and hypervisor level;
+//    kmeans_final_shift sums each run's last centroid movement (squared
+//    distance), the convergence delta the iteration cap cuts off.
+//  - admission_tests/admission_passed: core_schedulable() calls;
+//    dbf_evaluations: dbf(t) evaluations.
+//  - budget_evaluations/budget_cache_hits: min-budget searches performed /
+//    served from the analysis::AnalysisContext memo; load_cache_hits:
+//    core::CoreLoad Σ Θ/Π served cached.
+//  - candidate_packings, partition_grants, vcpu_migrations: hypervisor
+//    phases 1, 2 and 3.
+//  - arena_bytes: rounded scratch-arena allocation requests (a pure
+//    function of the work, unlike a high-water mark); soa_rebuilds:
+//    checkpoint/SoA cache entries built; inner_tasks: min-budget cells
+//    computed by the batch engine, serially or striped over the pool.
+//
+// All are deterministic at any --jobs / --inner-jobs.
+#define VC2M_ALLOC_COUNTERS(X)                                              \
+  X(std::uint64_t, kmeans_runs, "k-means runs", false)                     \
+  X(std::uint64_t, kmeans_iterations, "k-means iterations", false)         \
+  X(double, kmeans_final_shift, "k-means final shift", true)               \
+  X(std::uint64_t, admission_tests, "admission tests", false)              \
+  X(std::uint64_t, admission_passed, "admission passed", true)             \
+  X(std::uint64_t, dbf_evaluations, "dbf evaluations", false)              \
+  X(std::uint64_t, budget_evaluations, "min-budget searches", false)       \
+  X(std::uint64_t, budget_cache_hits, "budget memo hits", true)            \
+  X(std::uint64_t, load_cache_hits, "core-load memo hits", true)           \
+  X(std::uint64_t, candidate_packings, "candidate packings", false)        \
+  X(std::uint64_t, partition_grants, "partition grants", false)            \
+  X(std::uint64_t, vcpu_migrations, "vcpu migrations", false)              \
+  X(std::uint64_t, arena_bytes, "arena bytes", true)                       \
+  X(std::uint64_t, soa_rebuilds, "checkpoint set builds", false)           \
+  X(std::uint64_t, inner_tasks, "batched budget queries", true)
+
+/// What the allocator actually did for one solve. All counters are
+/// cumulative over the scope. Wall time is the phase profiler's job
+/// (util/phase_profiler.h: the vm_alloc / hv_alloc phases), not a counter.
 struct AllocCounters {
-  // KMeans clustering (VM level and hypervisor level).
-  std::uint64_t kmeans_runs = 0;
-  std::uint64_t kmeans_iterations = 0;
-  /// Total centroid movement (squared distance) of each run's final
-  /// update step — the convergence delta the iteration cap cuts off.
-  double kmeans_final_shift = 0;
-
-  // Schedulability / admission testing.
-  std::uint64_t admission_tests = 0;    ///< core_schedulable() calls
-  std::uint64_t admission_passed = 0;
-  std::uint64_t dbf_evaluations = 0;    ///< dbf(t) evaluations
-
-  // Memoization (analysis::AnalysisContext and core::CoreLoad).
-  std::uint64_t budget_evaluations = 0;  ///< min-budget searches performed
-  std::uint64_t budget_cache_hits = 0;   ///< budgets served from the memo
-  std::uint64_t load_cache_hits = 0;     ///< CoreLoad Σ Θ/Π served cached
-
-  // Hypervisor-level search coverage.
-  std::uint64_t candidate_packings = 0;  ///< Phase-1 packings explored
-  std::uint64_t partition_grants = 0;    ///< Phase-2 cache/BW grants
-  std::uint64_t vcpu_migrations = 0;     ///< Phase-3 moves
-
-  // SoA / arena / intra-solve-parallel kernels (analysis fast path). All
-  // three are deterministic at any --jobs / --inner-jobs: arena_bytes counts
-  // rounded allocation *requests* (a pure function of the work, unlike
-  // high-water marks), soa_rebuilds counts checkpoint/SoA cache entries
-  // built, inner_tasks counts min-budget cells processed by the batch
-  // engine whether they ran serially or striped over the pool.
-  std::uint64_t arena_bytes = 0;    ///< bytes served by scratch arenas
-  std::uint64_t soa_rebuilds = 0;   ///< checkpoint/SoA cache builds
-  std::uint64_t inner_tasks = 0;    ///< batched min-budget cells computed
-
-  // Per-phase wall time (seconds).
-  double vm_alloc_seconds = 0;
-  double hv_alloc_seconds = 0;
+#define VC2M_ALLOC_FIELD(type, name, label, exempt) type name = 0;
+  VC2M_ALLOC_COUNTERS(VC2M_ALLOC_FIELD)
+#undef VC2M_ALLOC_FIELD
 
   void merge(const AllocCounters& o) {
-    kmeans_runs += o.kmeans_runs;
-    kmeans_iterations += o.kmeans_iterations;
-    kmeans_final_shift += o.kmeans_final_shift;
-    admission_tests += o.admission_tests;
-    admission_passed += o.admission_passed;
-    dbf_evaluations += o.dbf_evaluations;
-    budget_evaluations += o.budget_evaluations;
-    budget_cache_hits += o.budget_cache_hits;
-    load_cache_hits += o.load_cache_hits;
-    candidate_packings += o.candidate_packings;
-    partition_grants += o.partition_grants;
-    vcpu_migrations += o.vcpu_migrations;
-    arena_bytes += o.arena_bytes;
-    soa_rebuilds += o.soa_rebuilds;
-    inner_tasks += o.inner_tasks;
-    vm_alloc_seconds += o.vm_alloc_seconds;
-    hv_alloc_seconds += o.hv_alloc_seconds;
+#define VC2M_ALLOC_MERGE(type, name, label, exempt) name += o.name;
+    VC2M_ALLOC_COUNTERS(VC2M_ALLOC_MERGE)
+#undef VC2M_ALLOC_MERGE
   }
 };
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/dbf.h"
 #include "analysis/prm.h"
 #include "analysis/regulated.h"
@@ -10,6 +15,8 @@
 #include "analysis/theorems.h"
 #include "model/task.h"
 #include "util/error.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vc2m::analysis {
 namespace {
@@ -235,6 +242,109 @@ TEST(Prm, MinBudgetOnCurveMatchesReferenceSearchEverywhere) {
     ASSERT_EQ(fast.has_value(), ref.has_value()) << "case " << i;
     if (ref) {
       EXPECT_EQ(*fast, *ref) << "case " << i;
+    }
+  }
+}
+
+// ------------------------------------------ AnalysisContext kernel oracle ---
+//
+// Every solver asks AnalysisContext for minimum budgets; min_budget_edf (the
+// span-of-PTask reference kernel) is the oracle it must reproduce exactly.
+
+/// A random task group: 1–5 tasks, periods from a divisor-rich set (small
+/// hyperperiods keep the reference kernel cheap), total utilization spread
+/// over (0.05, 1.15) so feasible, tight and over-utilized groups all occur.
+std::vector<PTask> random_group(util::Rng& rng) {
+  static const std::int64_t kPeriodsMs[] = {5, 10, 15, 20, 30, 40, 60};
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 5));
+  const double u = rng.uniform(0.05, 1.15);
+  std::vector<PTask> g(n);
+  for (auto& t : g) {
+    t.period = Time::ms(kPeriodsMs[rng.index(std::size(kPeriodsMs))]);
+    const double share = u / static_cast<double>(n) * rng.uniform(0.5, 1.5);
+    t.wcet = Time::us(std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(share * t.period.to_ms() * 1000.0)));
+  }
+  return g;
+}
+
+/// A VCPU period: the group's shortest task period (what the allocator
+/// uses), or a random one from the same set.
+Time random_period(util::Rng& rng, const std::vector<PTask>& g) {
+  if (rng.bernoulli(0.5)) return Time::ms(5 * rng.uniform_int(1, 4));
+  Time pi = g.front().period;
+  for (const auto& t : g) pi = util::min(pi, t.period);
+  return pi;
+}
+
+TEST(AnalysisContextOracle, MinBudgetMatchesReferenceKernel) {
+  int feasible = 0, infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    AnalysisContext ctx;
+    for (int i = 0; i < 40; ++i) {
+      const auto g = random_group(rng);
+      const Time pi = random_period(rng, g);
+      const auto ref = min_budget_edf(g, pi);
+      EXPECT_EQ(ctx.min_budget(g, pi), ref) << "seed " << seed << " #" << i;
+      EXPECT_EQ(ctx.min_budget(g, pi), ref) << "memo hit, seed " << seed;
+      if (ref)
+        ++feasible;
+      else
+        ++infeasible;
+    }
+  }
+  // Both outcomes must be exercised, or the comparison proves little.
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(AnalysisContextOracle, BatchMatchesReferenceAndSerialCounters) {
+  util::ThreadPool pool(4);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(seed);
+    const Time pi = Time::ms(5 * rng.uniform_int(1, 4));
+    std::vector<std::vector<PTask>> groups(48);
+    for (auto& g : groups) g = random_group(rng);
+    groups.push_back({});  // the empty group needs no budget
+    // Repeat a third of the queries inside the same batch.
+    for (int r = 0; r < 16; ++r) {
+      auto repeat = groups[rng.index(groups.size())];
+      groups.push_back(std::move(repeat));
+    }
+    const std::vector<std::span<const PTask>> queries(groups.begin(),
+                                                      groups.end());
+
+    // Contexts own nesting counter scopes, so the serial one is closed
+    // before the batch contexts open (else their counts would merge in).
+    std::vector<std::optional<Time>> expected;
+    util::AllocCounters serial;
+    {
+      AnalysisContext ctx;
+      for (const auto& q : queries) {
+        expected.push_back(min_budget_edf(q, pi));
+        EXPECT_EQ(ctx.min_budget(q, pi), expected.back());
+      }
+      serial = ctx.counters();
+    }
+    ASSERT_GT(serial.budget_cache_hits, 0u);
+
+    for (const int inner : {1, 4}) {
+      AnalysisContext ctx;
+      ctx.set_inner_parallelism(&pool, inner);
+      const auto res = ctx.min_budget_batch(queries, pi);
+      ASSERT_EQ(res.size(), queries.size());
+      std::uint64_t searched = 0;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(res[q].theta, expected[q])
+            << "seed " << seed << " inner " << inner << " query " << q;
+        searched += res[q].searched ? 1 : 0;
+      }
+      EXPECT_EQ(searched, ctx.counters().budget_evaluations);
+      EXPECT_EQ(ctx.counters().budget_evaluations, serial.budget_evaluations)
+          << "seed " << seed << " inner " << inner;
+      EXPECT_EQ(ctx.counters().budget_cache_hits, serial.budget_cache_hits)
+          << "seed " << seed << " inner " << inner;
     }
   }
 }

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/context.h"
 #include "core/admission.h"
 #include "core/exact.h"
 #include "core/experiment.h"
@@ -261,30 +260,5 @@ INSTANTIATE_TEST_SUITE_P(
       return "jobs" + std::to_string(info.param.first) + "_inner" +
              std::to_string(info.param.second);
     });
-
-TEST(GoldenEquivalence, FastKernelsMatchLegacyKernelsExactly) {
-  if (capture_mode()) GTEST_SKIP() << "capture handled by GoldenEquivalence";
-  const GoldenFile g = load_golden();
-  ASSERT_TRUE(g.loaded) << "golden file missing: " << kGoldenFile;
-  const SweepRun& fast = reference_sweep();
-
-  analysis::set_fast_kernels(false);
-  const SweepRun legacy = run_sweep(1, 1);
-  analysis::set_fast_kernels(true);
-
-  expect_lines_equal(g.sweep, legacy.lines, "sweep(legacy kernels)");
-  // The memo-miss count is layout-independent: both engines consult the
-  // same per-context memo in the same serial query order.
-  EXPECT_EQ(fast.effort.budget_evaluations, legacy.effort.budget_evaluations);
-  EXPECT_EQ(fast.effort.budget_cache_hits, legacy.effort.budget_cache_hits);
-  // The fast path's whole point: checkpoint reuse must make it do strictly
-  // less demand-bound work than the hinted per-cell searches.
-  EXPECT_LT(fast.effort.dbf_evaluations, legacy.effort.dbf_evaluations);
-  // Legacy kernels never touch the arena or the checkpoint cache.
-  EXPECT_EQ(legacy.effort.arena_bytes, 0u);
-  EXPECT_EQ(legacy.effort.soa_rebuilds, 0u);
-  EXPECT_GT(fast.effort.arena_bytes, 0u);
-  EXPECT_GT(fast.effort.soa_rebuilds, 0u);
-}
 
 }  // namespace

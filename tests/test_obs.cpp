@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/bench_report.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
@@ -691,7 +692,7 @@ BenchReport sample_report() {
   r.config["platform"] = "A";
   r.config["note"] = "quotes \" and \\ and\nnewlines";
   r.counters["dbf_evaluations"] = 8192;
-  r.counters["vm_alloc_seconds"] = 0.125;
+  r.counters["kmeans_final_shift"] = 0.125;
   r.counters["budget_cache_hits"] = 512;
   PhaseStats solve;
   solve.name = "solve";
@@ -923,6 +924,48 @@ TEST(TraceExport, CounterTracksRenderAsTelemetryProcess) {
   write_chrome_trace(plain, {});
   write_chrome_trace(empty_tracks, {}, with_empty);
   EXPECT_EQ(plain.str(), empty_tracks.str());
+}
+
+TEST(TraceExport, ControlCharactersInNamesStayValidJson) {
+  // Task labels and counter-track names are caller text; a newline, tab or
+  // other control character in one must be escaped, never written raw.
+  const std::string task = "sensor\nfusion\t\x01";
+  const std::string track = "queue\ndepth";
+  TraceMeta meta;
+  meta.task_labels = {task};
+  meta.counters.push_back({track, {{Time::ms(1), 2.0}}});
+  std::ostringstream os;
+  write_chrome_trace(os, tiny_trace(), meta);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("\"sensor\\nfusion\\t\\u0001\""), std::string::npos);
+  EXPECT_NE(out.find("\"queue\\ndepth\""), std::string::npos);
+  const json::Value doc = json::parse(out, "chrome trace");
+  const json::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  bool saw_task = false, saw_track = false;
+  for (const auto& e : events->array) {
+    const json::Value* name = e.find("name");
+    if (name == nullptr) continue;
+    saw_task = saw_task || name->str == task;
+    saw_track = saw_track || name->str == track;
+  }
+  EXPECT_TRUE(saw_task);
+  EXPECT_TRUE(saw_track);
+}
+
+TEST(Json, EscapeRoundTripsEveryControlCharacter) {
+  std::string text = "quote \" backslash \\ ";
+  for (char c = 1; c < 0x20; ++c) text.push_back(c);
+  const json::Value v = json::parse("\"" + json::escape(text) + "\"", "t");
+  EXPECT_EQ(v.str, text);
+}
+
+TEST(Json, ReaderRejectsRawControlCharactersInStrings) {
+  EXPECT_THROW(json::parse("\"a\nb\"", "t"), util::Error);
+  EXPECT_THROW(json::parse("{\"k\": \"\t\"}", "t"), util::Error);
+  EXPECT_THROW(json::parse("\"\\u00e9\"", "t"), util::Error);  // non-ASCII
+  EXPECT_THROW(json::parse("\"\\u12\"", "t"), util::Error);    // short
+  EXPECT_EQ(json::parse("\"\\u0041\"", "t").str, "A");
 }
 
 }  // namespace

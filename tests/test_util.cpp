@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/log_histogram.h"
 #include "util/phase_profiler.h"
 #include "util/rng.h"
@@ -437,6 +438,18 @@ TEST(Check, ThrowsWithLocation) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("impossible 42"), std::string::npos);
   }
+}
+
+TEST(Fnv1a, MatchesStandard64BitVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, U64StepHashesLittleEndianBytes) {
+  const std::uint64_t v = 0x0807060504030201ull;
+  const char bytes[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(fnv1a_u64(kFnvOffset, v), fnv1a({bytes, sizeof bytes}));
 }
 
 }  // namespace

@@ -140,11 +140,13 @@ BENCHMARK(BM_RegulatedVcpu);
 
 void BM_KMeansSlowdownVectors(benchmark::State& state) {
   const auto tasks = make_taskset(2.0, 12);
-  std::vector<std::vector<double>> points;
-  for (const auto& t : tasks) points.push_back(t.slowdown().flat());
+  const std::size_t dim = tasks.front().wcet.grid().size();
+  std::vector<double> points(tasks.size() * dim);
+  for (std::size_t r = 0; r < tasks.size(); ++r)
+    tasks[r].wcet.write_slowdown(std::span(points).subspan(r * dim, dim));
   util::Rng rng(3);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::kmeans(points, 4, rng));
+    benchmark::DoNotOptimize(core::kmeans(points, dim, 4, rng));
 }
 BENCHMARK(BM_KMeansSlowdownVectors);
 

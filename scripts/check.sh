@@ -11,7 +11,8 @@
 # build-tsan/) so the regular build/ stays untouched. address and
 # undefined build and run everything; thread builds only the parallel test
 # binaries and runs the thread-pool/experiment/fault-validator/scenario-
-# matrix suites plus the admission-service suite (the rest of the test
+# matrix suites, the shared PARSEC suite tables (first touch from eight
+# threads) plus the admission-service suite (the rest of the test
 # suite is single-threaded, and TSan's ~10x slowdown buys nothing there).
 # The scenario-matrix suite matters for TSan specifically: it drives
 # run_matrix with checkpointing at --jobs 2+, where worker-thread slot
@@ -426,8 +427,8 @@ for san in "${sanitizers[@]}"; do
   ctest_args=(--output-on-failure -j "$(nproc)")
   if [ "$san" = thread ]; then
     build_args=(--target test_parallel test_faults test_scenario test_service
-                test_telemetry test_golden)
-    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot)')
+                test_telemetry test_golden test_workload)
+    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SuiteTables)')
   fi
   echo "=== ${san}: configure (${dir}/) ==="
   cmake -B "$dir" -S . -DVC2M_SANITIZE="$san" >/dev/null

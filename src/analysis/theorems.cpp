@@ -42,6 +42,17 @@ model::Vcpu regulated_vcpu(const model::Taskset& tasks,
   }
 
   const auto& grid = tasks[task_indices.front()].wcet.grid();
+  // Per task: its WCET row and its multiplier den/q_i over the common
+  // denominator.
+  std::vector<std::pair<const util::Time*, std::int64_t>> terms;
+  terms.reserve(task_indices.size());
+  for (const std::size_t i : task_indices) {
+    const auto& t = tasks[i];
+    VC2M_CHECK_MSG(t.wcet.grid() == grid,
+                   "tasks on one VCPU must share a resource grid");
+    terms.emplace_back(t.wcet.flat().data(), den / (t.period / pi));
+  }
+
   model::Vcpu v;
   v.period = pi;
   v.vm = tasks[task_indices.front()].vm;
@@ -50,19 +61,14 @@ model::Vcpu regulated_vcpu(const model::Taskset& tasks,
 
   // Θ(c,b) = Π · Σ e_i(c,b)/p_i = Σ e_i(c,b)/q_i, computed exactly over the
   // common denominator `den` and rounded up to the nanosecond.
-  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-    for (unsigned b = grid.b_min; b <= grid.b_max; ++b) {
-      __int128 num = 0;
-      for (const std::size_t i : task_indices) {
-        const auto& t = tasks[i];
-        VC2M_CHECK_MSG(t.wcet.grid() == grid,
-                       "tasks on one VCPU must share a resource grid");
-        const std::int64_t q = t.period / pi;
-        num += static_cast<__int128>(t.wcet.at(c, b).raw_ns()) * (den / q);
-      }
-      const auto theta = static_cast<std::int64_t>((num + den - 1) / den);
-      v.budget.set(c, b, util::Time::ns(theta));
-    }
+  auto& budget = v.budget.flat();
+  for (std::size_t cell = 0; cell < budget.size(); ++cell) {
+    __int128 num = 0;
+    for (const auto& [wcet, mult] : terms)
+      num += static_cast<__int128>(wcet[cell].raw_ns()) * mult;
+    budget[cell] =
+        util::Time::ns(static_cast<std::int64_t>((num + den - 1) / den));
+  }
   return v;
 }
 

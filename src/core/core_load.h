@@ -18,12 +18,14 @@
 //    incrementally: the core tracks a common multiple L of its members'
 //    periods with per-member weights w_j = L/Π_j, and materialized
 //    per-point demands D(c,b) = Σ_j Θ_j(c,b)·w_j. add/remove adjust D by
-//    the one member's contribution instead of re-summing. D ≤ L is the
-//    same exact comparison analysis::core_schedulable makes (L is a
-//    multiple of the minimal period LCM, so both sides scale by the same
-//    integer). If L would exceed analysis::kPeriodLcmCap the core defers
-//    to analysis::core_schedulable permanently — verdicts stay identical
-//    in every case, only the evaluation count changes.
+//    the one member's contribution instead of re-summing, at just the
+//    points materialized so far (a CoreLoad built per candidate core
+//    probes only a handful of grid points). D ≤ L is the same exact
+//    comparison analysis::core_schedulable makes (L is a multiple of the
+//    minimal period LCM, so both sides scale by the same integer). If L
+//    would exceed analysis::kPeriodLcmCap the core defers to
+//    analysis::core_schedulable permanently — verdicts stay identical in
+//    every case, only the evaluation count changes.
 #pragma once
 
 #include <cstddef>
@@ -69,6 +71,33 @@ class CoreLoad {
   bool schedulable(unsigned c, unsigned b);
 
  private:
+  /// A per-grid-point memo that lists the points it has materialized, so
+  /// edits and invalidation touch only those instead of the whole grid.
+  template <class T>
+  struct PointMemo {
+    std::vector<T> value;               // per grid point, row-major
+    std::vector<std::uint8_t> valid;
+    std::vector<std::size_t> points;    // materialized, in insertion order
+
+    PointMemo() = default;
+    explicit PointMemo(std::size_t grid_size)
+        : value(grid_size), valid(grid_size, 0) {}
+    void set(std::size_t i, T v) {
+      value[i] = v;
+      valid[i] = 1;
+      points.push_back(i);
+    }
+    void clear() {
+      for (const std::size_t i : points) valid[i] = 0;
+      points.clear();
+    }
+  };
+
+  /// Θ at point i of grid_ (row-major): the flat entry when the budget
+  /// lives on grid_, else looked up by (c, b) — VCPUs profiled on a larger
+  /// grid may be placed on a smaller platform.
+  util::Time budget_at(const model::WcetFn& budget, std::size_t i) const;
+
   std::span<const model::Vcpu> vcpus_;
   model::ResourceGrid grid_;
   std::vector<std::size_t> on_core_;
@@ -78,16 +107,14 @@ class CoreLoad {
   bool exact_ = true;
   std::int64_t common_multiple_ = 1;
   std::vector<std::int64_t> weight_;
-  std::vector<__int128> demand_;           // per grid point, row-major
-  std::vector<std::uint8_t> demand_valid_;
+  PointMemo<__int128> demand_;
 
-  // Cached verdicts for the fallback (non-exact) mode only.
-  std::vector<std::uint8_t> sched_;
-  std::vector<std::uint8_t> sched_valid_;
+  // Cached verdicts for the fallback (non-exact) mode only; sized when
+  // the core enters that mode.
+  PointMemo<std::uint8_t> sched_;
 
   // Cached utilization sums, dropped on membership edits.
-  std::vector<double> util_;
-  std::vector<std::uint8_t> util_valid_;
+  PointMemo<double> util_;
 };
 
 }  // namespace vc2m::core

@@ -362,14 +362,16 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
   }
 
   // Cluster VCPUs by slowdown vector once; reused for every core count.
+  // The rows are freed before packing.
   const std::size_t k =
       cfg.cluster_vcpus ? std::min(cfg.clusters, vcpus.size()) : 1;
-  std::vector<std::vector<double>> points;
-  points.reserve(vcpus.size());
-  for (const auto& v : vcpus) points.push_back(v.slowdown().flat());
   const auto clusters = [&] {
+    const std::size_t dim = vcpus.front().budget.grid().size();
+    std::vector<double> points(vcpus.size() * dim);
+    for (std::size_t r = 0; r < vcpus.size(); ++r)
+      vcpus[r].budget.write_slowdown(std::span(points).subspan(r * dim, dim));
     VC2M_PROFILE_PHASE("cluster");
-    return cluster_members(kmeans(points, k, rng), k);
+    return cluster_members(kmeans(points, dim, k, rng), k);
   }();
 
   for (unsigned m = 1; m <= platform.cores; ++m) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -18,23 +19,21 @@ namespace vc2m::core {
 struct KMeansResult {
   /// assignment[i] = cluster of point i, in [0, k).
   std::vector<std::size_t> assignment;
-  std::vector<std::vector<double>> centroids;
+  /// The k centroids, row-major: centroid c is [c·dim, (c+1)·dim).
+  std::vector<double> centroids;
   unsigned iterations = 0;
 };
 
-/// Lloyd's algorithm with kmeans++ seeding. Requires 1 <= k <= points.size()
-/// and all points of equal, non-zero dimension. Empty clusters are repaired
-/// by stealing the point farthest from its current centroid.
-KMeansResult kmeans(const std::vector<std::vector<double>>& points,
+/// Lloyd's algorithm with kmeans++ seeding over the n = points.size()/dim
+/// points stored row-major in `points` (point i is [i·dim, (i+1)·dim)).
+/// Requires dim >= 1 and 1 <= k <= n. Empty clusters are repaired by
+/// stealing the point farthest from its current centroid.
+KMeansResult kmeans(std::span<const double> points, std::size_t dim,
                     std::size_t k, util::Rng& rng, unsigned max_iters = 50);
 
 /// Invert an assignment into per-cluster member lists (clusters may be
 /// empty only if kmeans() was given degenerate duplicate points).
 std::vector<std::vector<std::size_t>> cluster_members(
     const KMeansResult& result, std::size_t k);
-
-/// Squared Euclidean distance (exposed for tests).
-double squared_distance(const std::vector<double>& a,
-                        const std::vector<double>& b);
 
 }  // namespace vc2m::core

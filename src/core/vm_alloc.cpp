@@ -163,14 +163,16 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   const std::size_t m = std::min<std::size_t>(n, cfg.max_vcpus_per_vm);
   const std::size_t k = std::min({cfg.clusters, m, n});
 
-  // Cluster by slowdown vector.
-  std::vector<std::vector<double>> points;
-  points.reserve(n);
-  for (const std::size_t i : vm_task_idx)
-    points.push_back(tasks[i].slowdown().flat());
+  // Cluster by slowdown vector, one row per task; the rows are freed
+  // before packing and analysis.
   const auto clusters = [&] {
+    const std::size_t dim = tasks[vm_task_idx.front()].wcet.grid().size();
+    std::vector<double> points(n * dim);
+    for (std::size_t r = 0; r < n; ++r)
+      tasks[vm_task_idx[r]].wcet.write_slowdown(
+          std::span(points).subspan(r * dim, dim));
     VC2M_PROFILE_PHASE("cluster");
-    return cluster_members(kmeans(points, k, rng), k);
+    return cluster_members(kmeans(points, dim, k, rng), k);
   }();
 
   // Pack tasks onto the m VCPUs worst-fit in decreasing reference

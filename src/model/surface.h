@@ -6,6 +6,7 @@
 // workload generator, the analyses, and the allocators.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "model/resource_grid.h"
@@ -72,11 +73,10 @@ class WcetFn {
   /// e(c,b) = round(reference * s(c,b)); s must have s(C,B) == 1.
   static WcetFn from_slowdown(util::Time reference, const Surface& s) {
     WcetFn f(s.grid());
-    for (unsigned c = s.grid().c_min; c <= s.grid().c_max; ++c)
-      for (unsigned b = s.grid().b_min; b <= s.grid().b_max; ++b) {
-        const double ns = static_cast<double>(reference.raw_ns()) * s.at(c, b);
-        f.set(c, b, util::Time::ns(static_cast<std::int64_t>(ns + 0.5)));
-      }
+    const double ref = static_cast<double>(reference.raw_ns());
+    for (std::size_t i = 0; i < f.values_.size(); ++i)
+      f.values_[i] = util::Time::ns(
+          static_cast<std::int64_t>(ref * s.flat()[i] + 0.5));
     return f;
   }
 
@@ -96,12 +96,18 @@ class WcetFn {
   /// Slowdown vector s(c,b) = e(c,b)/e(C,B).
   Surface slowdown() const {
     Surface s(grid_);
+    write_slowdown(s.flat());
+    return s;
+  }
+
+  /// The slowdown vector written row-major into `out` (grid().size()
+  /// values), e.g. one row of a k-means point buffer.
+  void write_slowdown(std::span<double> out) const {
+    VC2M_CHECK(out.size() == values_.size());
     const double ref = static_cast<double>(reference().raw_ns());
     VC2M_CHECK_MSG(ref > 0, "reference WCET must be positive");
-    for (unsigned c = grid_.c_min; c <= grid_.c_max; ++c)
-      for (unsigned b = grid_.b_min; b <= grid_.b_max; ++b)
-        s.set(c, b, static_cast<double>(at(c, b).raw_ns()) / ref);
-    return s;
+    for (std::size_t i = 0; i < values_.size(); ++i)
+      out[i] = static_cast<double>(values_[i].raw_ns()) / ref;
   }
 
   bool monotone_nonincreasing() const {
@@ -112,6 +118,10 @@ class WcetFn {
       }
     return true;
   }
+
+  /// Flat view in row-major (cache-major) order, as ResourceGrid::index.
+  const std::vector<util::Time>& flat() const { return values_; }
+  std::vector<util::Time>& flat() { return values_; }
 
   /// Pointwise sum (used when aggregating task demand onto a VCPU).
   WcetFn& operator+=(const WcetFn& o) {

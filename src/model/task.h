@@ -38,8 +38,6 @@ struct Task {
   double utilization(unsigned c, unsigned b) const {
     return wcet.at(c, b).ratio(period);
   }
-
-  Surface slowdown() const { return wcet.slowdown(); }
 };
 
 using Taskset = std::vector<Task>;
@@ -72,8 +70,6 @@ struct Vcpu {
   double utilization(unsigned c, unsigned b) const {
     return budget.at(c, b).ratio(period);
   }
-
-  Surface slowdown() const { return budget.slowdown(); }
 };
 
 double total_reference_utilization(const std::vector<Vcpu>& vs);

@@ -21,8 +21,10 @@ namespace vc2m::util {
 // batched cells); perfdiff never flags those as regressions.
 //
 //  - kmeans_*: k-means clustering at VM and hypervisor level;
-//    kmeans_final_shift sums each run's last centroid movement (squared
-//    distance), the convergence delta the iteration cap cuts off.
+//    kmeans_final_shift sums, over runs, how far the centroids moved in
+//    each run's last update step (Σ_c of the squared distance from the
+//    centroid before that step to the one after), the convergence delta
+//    at which the assignment settled or the iteration cap cut it off.
 //  - admission_tests/admission_passed: core_schedulable() calls;
 //    dbf_evaluations: dbf(t) evaluations.
 //  - budget_evaluations/budget_cache_hits: min-budget searches performed /

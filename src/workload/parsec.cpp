@@ -1,6 +1,8 @@
 #include "workload/parsec.h"
 
 #include <cmath>
+#include <deque>
+#include <mutex>
 
 #include "util/error.h"
 
@@ -93,6 +95,25 @@ const ParsecProfile& find_profile(const std::string& name) {
   for (const auto& p : parsec_suite())
     if (p.name == name) return p;
   throw util::Error("unknown PARSEC profile: " + name);
+}
+
+const SuiteTables& suite_tables(const model::ResourceGrid& grid) {
+  // One entry per grid ever asked for (a process sees one to three); a
+  // deque keeps handed-out references valid as entries are appended.
+  static std::mutex mu;
+  static std::deque<std::pair<model::ResourceGrid, SuiteTables>> built;
+  const std::lock_guard lock(mu);
+  for (const auto& [g, tables] : built)
+    if (g == grid) return tables;
+  grid.validate();
+  SuiteTables tables;
+  tables.surfaces.reserve(parsec_suite().size());
+  tables.s_max.reserve(parsec_suite().size());
+  for (const auto& p : parsec_suite()) {
+    tables.surfaces.push_back(p.surface(grid));
+    tables.s_max.push_back(p.max_slowdown(grid));
+  }
+  return built.emplace_back(grid, std::move(tables)).second;
 }
 
 }  // namespace vc2m::workload

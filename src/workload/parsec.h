@@ -71,4 +71,18 @@ const std::vector<ParsecProfile>& parsec_suite();
 /// Lookup by name; throws util::Error if unknown.
 const ParsecProfile& find_profile(const std::string& name);
 
+/// The suite profiled on one grid, parallel to parsec_suite():
+/// surfaces[k] == parsec_suite()[k].surface(grid) and
+/// s_max[k] == parsec_suite()[k].max_slowdown(grid).
+struct SuiteTables {
+  std::vector<model::Surface> surfaces;
+  std::vector<double> s_max;
+};
+
+/// The paper profiles each benchmark once and then only looks its vectors
+/// up (§3.3, §5.1); likewise these tables are built on the first call for
+/// a grid and kept, immutable, for the life of the process. Safe to call
+/// from any thread; the reference stays valid until exit.
+const SuiteTables& suite_tables(const model::ResourceGrid& grid);
+
 }  // namespace vc2m::workload

@@ -30,7 +30,7 @@ void write_taskset_csv(const std::string& path, const model::Taskset& tasks) {
 model::Taskset read_taskset_csv(std::istream& is,
                                 const model::ResourceGrid& grid,
                                 const std::string& source) {
-  grid.validate();
+  const auto& tables = suite_tables(grid);
   model::Taskset tasks;
   std::set<std::string> seen_rows;
   detail::ParseContext ctx{source, 0, {}};
@@ -60,9 +60,10 @@ model::Taskset read_taskset_csv(std::istream& is,
     if (bench.empty()) ctx.fail("empty benchmark field");
     if (!seen_rows.insert(line).second) ctx.fail("duplicate task row");
 
-    const ParsecProfile* profile = nullptr;
+    std::size_t k = 0;
     try {
-      profile = &find_profile(bench);
+      k = static_cast<std::size_t>(&find_profile(bench) -
+                                   parsec_suite().data());
     } catch (const util::Error& e) {
       ctx.fail(e.what());
     }
@@ -71,9 +72,9 @@ model::Taskset read_taskset_csv(std::istream& is,
     t.period = util::Time::ns(static_cast<std::int64_t>(period_ms * 1e6));
     const auto ref =
         util::Time::ns(static_cast<std::int64_t>(wcet_ms * 1e6 + 0.5));
-    t.wcet = model::WcetFn::from_slowdown(ref, profile->surface(grid));
+    t.wcet = model::WcetFn::from_slowdown(ref, tables.surfaces[k]);
     t.max_wcet = util::Time::ns(static_cast<std::int64_t>(
-        static_cast<double>(ref.raw_ns()) * profile->max_slowdown(grid)));
+        static_cast<double>(ref.raw_ns()) * tables.s_max[k]));
     t.label = bench;
     tasks.push_back(std::move(t));
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
 #include <sstream>
+#include <thread>
 
 #include "model/platform.h"
 #include "util/rng.h"
@@ -186,6 +189,130 @@ TEST(Generator, TaskLabelsComeFromTheSuite) {
   Rng rng(13);
   const auto ts = generate_taskset(config_for(2.0), rng);
   for (const auto& t : ts) EXPECT_NO_THROW(find_profile(t.label));
+}
+
+// -------------------------------------------------------- suite tables ----
+
+/// Bit equality of two slowdown surfaces (same grid, same doubles).
+bool same_bits(const model::Surface& a, const model::Surface& b) {
+  return a.grid() == b.grid() && a.flat().size() == b.flat().size() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(double)) == 0;
+}
+
+void expect_tables_match_profiles(const SuiteTables& tables,
+                                  const ResourceGrid& grid) {
+  const auto& suite = parsec_suite();
+  ASSERT_EQ(tables.surfaces.size(), suite.size());
+  ASSERT_EQ(tables.s_max.size(), suite.size());
+  for (std::size_t k = 0; k < suite.size(); ++k) {
+    EXPECT_TRUE(same_bits(tables.surfaces[k], suite[k].surface(grid)))
+        << suite[k].name;
+    const double s_max = suite[k].max_slowdown(grid);
+    EXPECT_EQ(std::memcmp(&tables.s_max[k], &s_max, sizeof s_max), 0)
+        << suite[k].name;
+  }
+}
+
+TEST(SuiteTables, EqualTheProfilesOnEveryPlatformGrid) {
+  // Interleaved: building one grid's tables must not disturb another's.
+  const ResourceGrid grids[] = {PlatformSpec::A().grid, PlatformSpec::C().grid,
+                                PlatformSpec::B().grid};
+  for (int round = 0; round < 3; ++round)
+    for (const auto& grid : grids) {
+      const auto& tables = suite_tables(grid);
+      expect_tables_match_profiles(tables, grid);
+      EXPECT_EQ(&tables, &suite_tables(grid)) << "built twice";
+    }
+}
+
+/// generate_taskset as it stood before the tables were shared: every
+/// surface and s_max recomputed from the profiles for each taskset.
+model::Taskset generate_from_scratch(const GeneratorConfig& cfg, Rng& rng) {
+  const auto& suite = parsec_suite();
+  const auto menu = harmonic_period_menu(cfg, rng);
+  std::vector<model::Surface> surfaces;
+  std::vector<double> s_max;
+  for (const auto& p : suite) {
+    surfaces.push_back(p.surface(cfg.grid));
+    s_max.push_back(p.max_slowdown(cfg.grid));
+  }
+  model::Taskset ts;
+  double total_ref = 0;
+  while (total_ref < cfg.target_ref_utilization) {
+    const std::size_t k = rng.index(suite.size());
+    const double u_max = draw_utilization(cfg.dist, rng);
+    const Time p = menu[rng.index(menu.size())];
+    double ref_util = u_max / s_max[k];
+    double ref_wcet_ns = ref_util * static_cast<double>(p.raw_ns());
+    const double remaining = cfg.target_ref_utilization - total_ref;
+    if (ref_util > remaining) {
+      ref_util = remaining;
+      ref_wcet_ns = ref_util * static_cast<double>(p.raw_ns());
+    }
+    const auto ref_wcet = Time::ns(
+        std::max<std::int64_t>(1, static_cast<std::int64_t>(ref_wcet_ns + 0.5)));
+    model::Task task;
+    task.period = p;
+    task.wcet = model::WcetFn(cfg.grid);
+    for (unsigned c = cfg.grid.c_min; c <= cfg.grid.c_max; ++c)
+      for (unsigned b = cfg.grid.b_min; b <= cfg.grid.b_max; ++b)
+        task.wcet.set(c, b,
+                      Time::ns(static_cast<std::int64_t>(
+                          static_cast<double>(ref_wcet.raw_ns()) *
+                              surfaces[k].at(c, b) +
+                          0.5)));
+    task.max_wcet = Time::ns(static_cast<std::int64_t>(
+        static_cast<double>(ref_wcet.raw_ns()) * s_max[k] + 0.5));
+    task.vm = static_cast<int>(ts.size()) % cfg.num_vms;
+    task.label = suite[k].name;
+    ts.push_back(std::move(task));
+    total_ref += ref_util;
+  }
+  return ts;
+}
+
+TEST(SuiteTables, GeneratedTasksetsEqualAFromScratchComputation) {
+  const UtilDist dists[] = {UtilDist::kUniform, UtilDist::kBimodalLight,
+                            UtilDist::kBimodalMedium, UtilDist::kBimodalHeavy};
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    GeneratorConfig cfg;
+    cfg.grid = (seed % 3 == 2 ? PlatformSpec::C() : PlatformSpec::A()).grid;
+    cfg.target_ref_utilization = 0.3 + 0.02 * static_cast<double>(seed);
+    cfg.dist = dists[seed % 4];
+    cfg.num_vms = 1 + static_cast<int>(seed % 3);
+    Rng a(seed), b(seed);
+    const auto got = generate_taskset(cfg, a);
+    const auto want = generate_from_scratch(cfg, b);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].period, want[i].period);
+      EXPECT_EQ(got[i].wcet.flat(), want[i].wcet.flat());
+      EXPECT_EQ(got[i].max_wcet, want[i].max_wcet);
+      EXPECT_EQ(got[i].vm, want[i].vm);
+      EXPECT_EQ(got[i].label, want[i].label);
+    }
+    EXPECT_EQ(a(), b()) << "different RNG consumption, seed " << seed;
+    if (HasFailure()) FAIL() << "seed " << seed;
+  }
+}
+
+TEST(SuiteTables, ConcurrentFirstTouchBuildsOneTable) {
+  // A grid no other test asks for, so its first touch happens here, with
+  // eight threads released together.
+  const ResourceGrid grid{3, 17, 2, 15};
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const SuiteTables*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = &suite_tables(grid);
+    });
+  for (auto& th : threads) th.join();
+  for (const auto* tables : seen) EXPECT_EQ(tables, seen.front());
+  expect_tables_match_profiles(*seen.front(), grid);
 }
 
 // ----------------------------------------------------------- CSV I/O ----

@@ -495,11 +495,13 @@ int cmd_profiles() {
   util::Table table({"benchmark", "mem share", "s(Cmin,Bmin)", "s(C/4,B/4)",
                      "s_max"});
   table.set_precision(2);
-  for (const auto& p : workload::parsec_suite())
-    table.add_row(p.name, p.mem_frac,
-                  p.slowdown(grid.c_min, grid.b_min, grid),
-                  p.slowdown(grid.c_max / 4.0, grid.b_max / 4.0, grid),
-                  p.max_slowdown(grid));
+  const auto& suite = workload::parsec_suite();
+  const auto& tables = workload::suite_tables(grid);
+  for (std::size_t k = 0; k < suite.size(); ++k)
+    table.add_row(suite[k].name, suite[k].mem_frac,
+                  tables.surfaces[k].at(grid.c_min, grid.b_min),
+                  suite[k].slowdown(grid.c_max / 4.0, grid.b_max / 4.0, grid),
+                  tables.s_max[k]);
   table.print(std::cout, "PARSEC profile library (Platform A grid)");
   return 0;
 }

@@ -1,54 +1,18 @@
 // Shared helpers for the table/figure bench binaries.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
 #include "core/experiment.h"
 #include "obs/bench_report.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
 
 namespace vc2m::bench {
-
-/// Strict numeric parsing for bench flags: the whole token must be a valid
-/// number (atoi's silent-zero on "--tasksets abc" produced empty sweeps).
-inline double parse_double_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not a finite number)\n";
-    std::exit(2);
-  }
-  return v;
-}
-
-inline long parse_int_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not an integer)\n";
-    std::exit(2);
-  }
-  return v;
-}
-
-inline std::uint64_t parse_uint64_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || s[0] == '-') {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not an unsigned integer)\n";
-    std::exit(2);
-  }
-  return v;
-}
 
 /// Command-line options shared by the schedulability benches. The defaults
 /// reproduce the paper's setup exactly (50 tasksets per utilization point,
@@ -78,29 +42,27 @@ struct Options {
         return argv[++i];
       };
       if (arg == "--tasksets") {
-        opt.tasksets =
-            static_cast<int>(parse_int_arg("--tasksets", next("--tasksets")));
+        opt.tasksets = util::flag_value<int>(arg, next("--tasksets"));
         if (opt.tasksets <= 0) {
           std::cerr << "--tasksets must be > 0\n";
           std::exit(2);
         }
       } else if (arg == "--step") {
-        opt.step = parse_double_arg("--step", next("--step"));
+        opt.step = util::flag_value<double>(arg, next("--step"));
         if (opt.step <= 0) {
           std::cerr << "--step must be > 0\n";
           std::exit(2);
         }
       } else if (arg == "--seed") {
-        opt.seed = parse_uint64_arg("--seed", next("--seed"));
+        opt.seed = util::flag_value<std::uint64_t>(arg, next("--seed"));
       } else if (arg == "--jobs") {
-        opt.jobs = static_cast<int>(parse_int_arg("--jobs", next("--jobs")));
+        opt.jobs = util::flag_value<int>(arg, next("--jobs"));
         if (opt.jobs < 0) {
           std::cerr << "--jobs must be >= 0 (0 = hardware concurrency)\n";
           std::exit(2);
         }
       } else if (arg == "--inner-jobs") {
-        opt.inner_jobs = static_cast<int>(
-            parse_int_arg("--inner-jobs", next("--inner-jobs")));
+        opt.inner_jobs = util::flag_value<int>(arg, next("--inner-jobs"));
         if (opt.inner_jobs < 0) {
           std::cerr << "--inner-jobs must be >= 0 (0 = hardware "
                        "concurrency)\n";

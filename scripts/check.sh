@@ -24,7 +24,8 @@
 # and require --recover to reproduce the uninterrupted report byte for
 # byte, fuzz torn/corrupted journals (recovery must warn, never crash),
 # schema-validate the vc2m-serve-report/1 artifact, and sweep the strict
-# numeric-flag matrix. The address pass also runs the telemetry smoke:
+# numeric-flag matrix over vc2m serve and bench_fig4_runtime. The
+# undefined pass builds with -fsanitize=undefined,float-cast-overflow. The address pass also runs the telemetry smoke:
 # telemetry must not perturb the report or the journal, the metrics
 # timeline must be schema-valid, bit-identical across --inner-jobs and
 # across crash + --recover, `vc2m timeline --diff` must pass a
@@ -50,6 +51,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# A UBSan report fails the run instead of scrolling past a passing test.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
 sanitizers=("$@")
 [ $# -eq 0 ] && sanitizers=(address undefined thread perf)
@@ -227,16 +231,31 @@ serve_smoke() {
   done
 
   echo "--- strict flags: malformed numeric values must exit 2 ---"
+  # FLAG|VALUE pairs; a value may carry blanks. util/parse.h is the one
+  # parser behind both binaries, so the bench shares the flags it has.
   local bad rc flag value
-  for bad in "--seed 12x" "--util nan" "--vms 1e3" "--jobs 2.5" \
-             "--snapshot-every -1" "--deadline-us 5ms" "--backoff-us abc" \
-             "--max-retries two" "--queue-cap 0x10"; do
-    flag="${bad% *}" value="${bad#* }"
+  for bad in "--seed|12x" "--util|nan" "--vms|1e3" "--jobs|2.5" \
+             "--snapshot-every|-1" "--deadline-us|5ms" "--backoff-us|abc" \
+             "--max-retries|two" "--queue-cap|0x10" "--seed| -1" \
+             "--jobs|4294967297"; do
+    flag="${bad%%|*}" value="${bad#*|}"
     rc=0
     "$vc2m" serve --trace "$trace" "$flag" "$value" \
       > /dev/null 2> "$work/flag-err.txt" || rc=$?
     if [ "$rc" -ne 2 ] || ! grep -q "bad value" "$work/flag-err.txt"; then
       echo "flag '$flag $value': expected rc 2 + 'bad value', got rc $rc:"
+      cat "$work/flag-err.txt"
+      return 1
+    fi
+  done
+  for bad in "--seed|12x" "--jobs|2.5" "--seed| -1" "--jobs|4294967297" \
+             "--jobs|4294967295" "--tasksets|abc" "--step|nan"; do
+    flag="${bad%%|*}" value="${bad#*|}"
+    rc=0
+    "$1/bench/bench_fig4_runtime" "$flag" "$value" --help \
+      > /dev/null 2> "$work/flag-err.txt" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "bad value" "$work/flag-err.txt"; then
+      echo "bench flag '$flag $value': expected rc 2 + 'bad value', got rc $rc:"
       cat "$work/flag-err.txt"
       return 1
     fi
@@ -430,8 +449,12 @@ for san in "${sanitizers[@]}"; do
                 test_telemetry test_golden test_workload)
     ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SuiteTables)')
   fi
-  echo "=== ${san}: configure (${dir}/) ==="
-  cmake -B "$dir" -S . -DVC2M_SANITIZE="$san" >/dev/null
+  # GCC's `undefined` group leaves out float-cast-overflow, which is what
+  # an unchecked double -> integer cast in a reader trips; name it too.
+  sanitize="$san"
+  [ "$san" = undefined ] && sanitize=undefined,float-cast-overflow
+  echo "=== ${san}: configure (${dir}/, -fsanitize=${sanitize}) ==="
+  cmake -B "$dir" -S . -DVC2M_SANITIZE="$sanitize" >/dev/null
   echo "=== ${san}: build ==="
   cmake --build "$dir" -j "$(nproc)" ${build_args[@]+"${build_args[@]}"}
   echo "=== ${san}: ctest ==="

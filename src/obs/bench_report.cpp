@@ -31,63 +31,16 @@ void write_phase(std::ostream& os, const PhaseStats& p, int indent) {
   os << "]}";
 }
 
-void write_histogram(std::ostream& os, const HistogramSummary& h) {
-  os << "{\"count\": " << h.count << ", \"mean\": " << json::number(h.mean)
-     << ", \"min\": " << json::number(h.min)
-     << ", \"max\": " << json::number(h.max)
-     << ", \"p50\": " << json::number(h.p50)
-     << ", \"p90\": " << json::number(h.p90)
-     << ", \"p95\": " << json::number(h.p95)
-     << ", \"p99\": " << json::number(h.p99) << "}";
-}
-
-// The reader parses through obs::json (strict: duplicate keys and
-// non-finite numbers are rejected with byte offsets).
-using JsonValue = json::Value;
-
-double get_number(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == JsonValue::Kind::kNumber,
-                 "bench report JSON: missing number field '" << key << "'");
-  return v->number;
-}
-
-std::string get_string(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == JsonValue::Kind::kString,
-                 "bench report JSON: missing string field '" << key << "'");
-  return v->str;
-}
-
-PhaseStats parse_phase(const JsonValue& v) {
-  VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kObject,
-                 "bench report JSON: phase entries must be objects");
+PhaseStats parse_phase(json::ObjectReader r) {
   PhaseStats p;
-  p.name = get_string(v, "name");
-  p.count = static_cast<std::uint64_t>(get_number(v, "count"));
-  p.total_sec = get_number(v, "total_sec");
-  p.self_sec = get_number(v, "self_sec");
-  if (const JsonValue* kids = v.find("children")) {
-    VC2M_CHECK_MSG(kids->kind == JsonValue::Kind::kArray,
-                   "bench report JSON: 'children' must be an array");
-    for (const auto& c : kids->array) p.children.push_back(parse_phase(c));
-  }
+  p.name = r.require_string("name");
+  p.count = r.require_int<std::uint64_t>("count");
+  p.total_sec = r.require_number("total_sec");
+  p.self_sec = r.require_number("self_sec");
+  if (const json::Value* kids = r.claim("children", json::Value::Kind::kArray))
+    for (const auto& c : kids->array)
+      p.children.push_back(parse_phase(r.child(c, "phase")));
   return p;
-}
-
-HistogramSummary parse_histogram(const JsonValue& v) {
-  VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kObject,
-                 "bench report JSON: histogram entries must be objects");
-  HistogramSummary h;
-  h.count = static_cast<std::uint64_t>(get_number(v, "count"));
-  h.mean = get_number(v, "mean");
-  h.min = get_number(v, "min");
-  h.max = get_number(v, "max");
-  h.p50 = get_number(v, "p50");
-  h.p90 = get_number(v, "p90");
-  h.p95 = get_number(v, "p95");
-  h.p99 = get_number(v, "p99");
-  return h;
 }
 
 /// Counters where growth means the run did *better* (more reuse, more
@@ -134,6 +87,29 @@ HistogramSummary HistogramSummary::of(const util::SampleStats& s) {
   out.p95 = s.p(0.95);
   out.p99 = s.p(0.99);
   return out;
+}
+
+void write_histogram_summary(std::ostream& os, const HistogramSummary& h) {
+  os << "{\"count\": " << h.count << ", \"mean\": " << json::number(h.mean)
+     << ", \"min\": " << json::number(h.min)
+     << ", \"max\": " << json::number(h.max)
+     << ", \"p50\": " << json::number(h.p50)
+     << ", \"p90\": " << json::number(h.p90)
+     << ", \"p95\": " << json::number(h.p95)
+     << ", \"p99\": " << json::number(h.p99) << "}";
+}
+
+HistogramSummary read_histogram_summary(json::ObjectReader r) {
+  HistogramSummary h;
+  h.count = r.require_int<std::uint64_t>("count");
+  h.mean = r.require_number("mean");
+  h.min = r.require_number("min");
+  h.max = r.require_number("max");
+  h.p50 = r.require_number("p50");
+  h.p90 = r.require_number("p90");
+  h.p95 = r.require_number("p95");
+  h.p99 = r.require_number("p99");
+  return h;
 }
 
 PoolSummary PoolSummary::of(const util::PoolTelemetry& t) {
@@ -196,7 +172,7 @@ void write_bench_report(std::ostream& os, const BenchReport& r) {
   first = true;
   for (const auto& [k, h] : r.histograms) {
     os << (first ? "\n" : ",\n") << "  \"" << json::escape(k) << "\": ";
-    write_histogram(os, h);
+    write_histogram_summary(os, h);
     first = false;
   }
   os << (first ? "" : "\n") << "},\n";
@@ -220,68 +196,51 @@ void write_bench_report_file(const std::string& path, const BenchReport& r) {
 }
 
 BenchReport read_bench_report(std::istream& is) {
+  using Kind = json::Value::Kind;
   std::ostringstream buf;
   buf << is.rdbuf();
-  const std::string text = buf.str();
-  JsonValue root = json::parse(text, "bench report");
-  VC2M_CHECK_MSG(root.kind == JsonValue::Kind::kObject,
-                 "bench report JSON: top level must be an object");
+  const json::Value root = json::parse(buf.str(), "bench report");
+  json::ObjectReader r(root, "bench report", "report");
 
-  BenchReport r;
-  r.schema = get_string(root, "schema");
-  VC2M_CHECK_MSG(r.schema.rfind("vc2m-bench-report/", 0) == 0,
-                 "not a vc2m bench report (schema '" << r.schema << "')");
-  r.name = get_string(root, "name");
-  r.git_rev = get_string(root, "git_rev");
-
-  if (const JsonValue* cfg = root.find("config")) {
-    VC2M_CHECK_MSG(cfg->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'config' must be an object");
-    for (const auto& [k, v] : cfg->object) {
-      VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kString,
-                     "bench report JSON: config values must be strings");
-      r.config[k] = v.str;
-    }
+  BenchReport out;
+  out.schema = r.require_string("schema");
+  if (out.schema.rfind("vc2m-bench-report/", 0) != 0)
+    r.fail_at("schema",
+              "not a vc2m bench report (schema '" + out.schema + "')");
+  out.name = r.require_string("name");
+  out.git_rev = r.require_string("git_rev");
+  if (const json::Value* cfg = r.claim("config", Kind::kObject)) {
+    json::ObjectReader c = r.child(*cfg, "'config'");
+    for (const auto& [k, v] : cfg->object) out.config[k] = c.require_string(k);
   }
-  if (const JsonValue* ctr = root.find("counters")) {
-    VC2M_CHECK_MSG(ctr->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'counters' must be an object");
-    for (const auto& [k, v] : ctr->object) {
-      VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kNumber,
-                     "bench report JSON: counter values must be numbers");
-      r.counters[k] = v.number;
-    }
+  if (const json::Value* ctr = r.claim("counters", Kind::kObject)) {
+    json::ObjectReader c = r.child(*ctr, "'counters'");
+    for (const auto& [k, v] : ctr->object)
+      out.counters[k] = c.require_number(k);
   }
-  if (const JsonValue* ph = root.find("phases")) {
-    VC2M_CHECK_MSG(ph->kind == JsonValue::Kind::kArray,
-                   "bench report JSON: 'phases' must be an array");
+  if (const json::Value* ph = r.claim("phases", Kind::kArray))
     for (const auto& p : ph->array)
-      r.phases.children.push_back(parse_phase(p));
+      out.phases.children.push_back(parse_phase(r.child(p, "phase")));
+  if (const json::Value* hs = r.claim("histograms", Kind::kObject)) {
+    json::ObjectReader h = r.child(*hs, "'histograms'");
+    for (const auto& [k, v] : hs->object)
+      out.histograms[k] = read_histogram_summary(h.require_object(k));
   }
-  if (const JsonValue* hs = root.find("histograms")) {
-    VC2M_CHECK_MSG(hs->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'histograms' must be an object");
-    for (const auto& [k, v] : hs->object) r.histograms[k] = parse_histogram(v);
-  }
-  if (const JsonValue* pool = root.find("pool")) {
-    VC2M_CHECK_MSG(pool->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'pool' must be an object");
-    if (const JsonValue* ws = pool->find("workers")) {
-      VC2M_CHECK_MSG(ws->kind == JsonValue::Kind::kArray,
-                     "bench report JSON: 'pool.workers' must be an array");
+  if (const json::Value* pool = r.claim("pool", Kind::kObject)) {
+    json::ObjectReader p = r.child(*pool, "'pool'");
+    if (const json::Value* ws = p.claim("workers", Kind::kArray)) {
       for (const auto& w : ws->array) {
-        VC2M_CHECK_MSG(w.kind == JsonValue::Kind::kObject,
-                       "bench report JSON: pool workers must be objects");
-        PoolSummary::Worker out;
-        out.executed = static_cast<std::uint64_t>(get_number(w, "executed"));
-        out.steals = static_cast<std::uint64_t>(get_number(w, "steals"));
-        out.idle_sec = get_number(w, "idle_sec");
-        out.max_queue = static_cast<std::uint64_t>(get_number(w, "max_queue"));
-        r.pool.workers.push_back(out);
+        json::ObjectReader wr = r.child(w, "pool worker");
+        PoolSummary::Worker worker;
+        worker.executed = wr.require_int<std::uint64_t>("executed");
+        worker.steals = wr.require_int<std::uint64_t>("steals");
+        worker.idle_sec = wr.require_number("idle_sec");
+        worker.max_queue = wr.require_int<std::uint64_t>("max_queue");
+        out.pool.workers.push_back(worker);
       }
     }
   }
-  return r;
+  return out;
 }
 
 BenchReport read_bench_report_file(const std::string& path) {

@@ -9,11 +9,11 @@
 // two reports per-phase and per-counter and exits nonzero on regression —
 // the gate scripts/check.sh runs on every bench smoke.
 //
-// The reader is a small recursive-descent JSON parser (obs/json.h, no
-// third-party dependency); it accepts exactly the documents the writer
-// produces plus ordinary whitespace variations, and rejects duplicate
-// object keys and non-finite numbers with a byte-offset error instead of
-// silently accepting a corrupted report.
+// The reader goes through obs/json.h (no third-party dependency): it
+// accepts exactly the documents the writer produces plus ordinary
+// whitespace variations, and rejects duplicate object keys, non-finite
+// numbers and out-of-range integers with a byte-offset error instead of
+// silently accepting a corrupted report. Unknown keys are ignored.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/profiler.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
@@ -45,6 +46,11 @@ struct HistogramSummary {
   static HistogramSummary of(const util::LogHistogram& h);
   static HistogramSummary of(const util::SampleStats& s);
 };
+
+/// The one JSON codec of a HistogramSummary, shared by the bench and serve
+/// reports: {"count": N, "mean": x, "min": x, "max": x, "p50": x, ...}.
+void write_histogram_summary(std::ostream& os, const HistogramSummary& h);
+HistogramSummary read_histogram_summary(json::ObjectReader r);
 
 /// Thread-pool telemetry as report data (idle time in seconds).
 struct PoolSummary {

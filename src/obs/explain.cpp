@@ -195,46 +195,22 @@ void write_event(std::ostream& os, const DecisionEvent& e) {
      << ", \"margin\": " << json::number(e.margin) << "}";
 }
 
-double get_number(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kNumber,
-                 "explain report JSON: missing number field '" << key << "'");
-  return v->number;
-}
-
-std::string get_string(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kString,
-                 "explain report JSON: missing string field '" << key << "'");
-  return v->str;
-}
-
-bool get_bool(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kBool,
-                 "explain report JSON: missing boolean field '" << key << "'");
-  return v->boolean;
-}
-
-DecisionEvent parse_event(const json::Value& v) {
-  VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
-                 "explain report JSON: events must be objects");
+DecisionEvent parse_event(json::ObjectReader r) {
   DecisionEvent e;
-  const std::string kind = get_string(v, "kind");
-  VC2M_CHECK_MSG(decision_kind_from_string(kind, e.kind),
-                 "explain report JSON: unknown event kind '" << kind << "'");
-  e.accepted = get_bool(v, "accepted");
-  const std::string constraint = get_string(v, "constraint");
-  VC2M_CHECK_MSG(decision_constraint_from_string(constraint, e.constraint),
-                 "explain report JSON: unknown constraint '" << constraint
-                                                             << "'");
-  e.vm = static_cast<std::int32_t>(get_number(v, "vm"));
-  e.entity = static_cast<std::int32_t>(get_number(v, "entity"));
-  e.core = static_cast<std::int32_t>(get_number(v, "core"));
-  e.cache = static_cast<std::int32_t>(get_number(v, "cache"));
-  e.bw = static_cast<std::int32_t>(get_number(v, "bw"));
-  e.value = get_number(v, "value");
-  e.margin = get_number(v, "margin");
+  const std::string kind = r.require_string("kind");
+  if (!decision_kind_from_string(kind, e.kind))
+    r.fail_at("kind", "unknown event kind '" + kind + "'");
+  e.accepted = r.require_bool("accepted");
+  const std::string constraint = r.require_string("constraint");
+  if (!decision_constraint_from_string(constraint, e.constraint))
+    r.fail_at("constraint", "unknown constraint '" + constraint + "'");
+  e.vm = r.require_int<std::int32_t>("vm");
+  e.entity = r.require_int<std::int32_t>("entity");
+  e.core = r.require_int<std::int32_t>("core");
+  e.cache = r.require_int<std::int32_t>("cache");
+  e.bw = r.require_int<std::int32_t>("bw");
+  e.value = r.require_number("value");
+  e.margin = r.require_number("margin");
   return e;
 }
 
@@ -358,81 +334,63 @@ void write_explain_report_file(const std::string& path,
 }
 
 ExplainReport read_explain_report(std::istream& is) {
+  using Kind = json::Value::Kind;
   std::ostringstream buf;
   buf << is.rdbuf();
   const json::Value root = json::parse(buf.str(), "explain report");
-  VC2M_CHECK_MSG(root.kind == json::Value::Kind::kObject,
-                 "explain report JSON: top level must be an object");
+  json::ObjectReader top(root, "explain report", "report");
 
   ExplainReport r;
-  r.schema = get_string(root, "schema");
-  VC2M_CHECK_MSG(r.schema.rfind("vc2m-explain-report/", 0) == 0,
-                 "not a vc2m explain report (schema '" << r.schema << "')");
-  r.strategy = get_string(root, "strategy");
-  r.git_rev = get_string(root, "git_rev");
-  if (const json::Value* cfg = root.find("config")) {
-    VC2M_CHECK_MSG(cfg->kind == json::Value::Kind::kObject,
-                   "explain report JSON: 'config' must be an object");
-    for (const auto& [k, v] : cfg->object) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kString,
-                     "explain report JSON: config values must be strings");
-      r.config[k] = v.str;
-    }
+  r.schema = top.require_string("schema");
+  if (r.schema.rfind("vc2m-explain-report/", 0) != 0)
+    top.fail_at("schema",
+                "not a vc2m explain report (schema '" + r.schema + "')");
+  r.strategy = top.require_string("strategy");
+  r.git_rev = top.require_string("git_rev");
+  if (const json::Value* cfg = top.claim("config", Kind::kObject)) {
+    json::ObjectReader c = top.child(*cfg, "'config'");
+    for (const auto& [k, v] : cfg->object) r.config[k] = c.require_string(k);
   }
-  r.schedulable = get_bool(root, "schedulable");
-  r.cores_used = static_cast<unsigned>(get_number(root, "cores_used"));
+  r.schedulable = top.require_bool("schedulable");
+  r.cores_used = top.require_int<unsigned>("cores_used");
 
-  const json::Value* h = root.find("headroom");
-  VC2M_CHECK_MSG(h && h->kind == json::Value::Kind::kObject,
-                 "explain report JSON: missing 'headroom' object");
-  r.headroom.spare_cache =
-      static_cast<unsigned>(get_number(*h, "spare_cache"));
-  r.headroom.spare_bw = static_cast<unsigned>(get_number(*h, "spare_bw"));
-  if (const json::Value* cores = h->find("cores")) {
-    VC2M_CHECK_MSG(cores->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'headroom.cores' must be an array");
+  json::ObjectReader h = top.require_object("headroom");
+  r.headroom.spare_cache = h.require_int<unsigned>("spare_cache");
+  r.headroom.spare_bw = h.require_int<unsigned>("spare_bw");
+  if (const json::Value* cores = h.claim("cores", Kind::kArray)) {
     for (const auto& v : cores->array) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
-                     "explain report JSON: headroom cores must be objects");
+      json::ObjectReader cr = top.child(v, "headroom core");
       CoreHeadroom c;
-      c.core = static_cast<unsigned>(get_number(v, "core"));
-      c.cache = static_cast<unsigned>(get_number(v, "cache"));
-      c.bw = static_cast<unsigned>(get_number(v, "bw"));
-      c.vcpus = static_cast<std::size_t>(get_number(v, "vcpus"));
-      c.utilization = get_number(v, "utilization");
-      c.slack = get_number(v, "slack");
-      c.reclaimable_cache =
-          static_cast<unsigned>(get_number(v, "reclaimable_cache"));
-      c.reclaimable_bw =
-          static_cast<unsigned>(get_number(v, "reclaimable_bw"));
+      c.core = cr.require_int<unsigned>("core");
+      c.cache = cr.require_int<unsigned>("cache");
+      c.bw = cr.require_int<unsigned>("bw");
+      c.vcpus = cr.require_int<std::size_t>("vcpus");
+      c.utilization = cr.require_number("utilization");
+      c.slack = cr.require_number("slack");
+      c.reclaimable_cache = cr.require_int<unsigned>("reclaimable_cache");
+      c.reclaimable_bw = cr.require_int<unsigned>("reclaimable_bw");
       r.headroom.cores.push_back(c);
     }
   }
 
-  if (const json::Value* rejs = root.find("rejections")) {
-    VC2M_CHECK_MSG(rejs->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'rejections' must be an array");
+  if (const json::Value* rejs = top.claim("rejections", Kind::kArray)) {
     for (const auto& v : rejs->array) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
-                     "explain report JSON: rejections must be objects");
+      json::ObjectReader rr = top.child(v, "rejection");
       VmRejection rej;
-      rej.vm = static_cast<int>(get_number(v, "vm"));
-      const std::string c = get_string(v, "constraint");
-      VC2M_CHECK_MSG(decision_constraint_from_string(c, rej.constraint),
-                     "explain report JSON: unknown constraint '" << c << "'");
-      rej.margin = get_number(v, "margin");
-      rej.detail = get_string(v, "detail");
+      rej.vm = rr.require_int<int>("vm");
+      const std::string c = rr.require_string("constraint");
+      if (!decision_constraint_from_string(c, rej.constraint))
+        rr.fail_at("constraint", "unknown constraint '" + c + "'");
+      rej.margin = rr.require_number("margin");
+      rej.detail = rr.require_string("detail");
       r.rejections.push_back(std::move(rej));
     }
   }
 
-  r.events_dropped =
-      static_cast<std::uint64_t>(get_number(root, "events_dropped"));
-  if (const json::Value* evs = root.find("events")) {
-    VC2M_CHECK_MSG(evs->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'events' must be an array");
-    for (const auto& v : evs->array) r.events.push_back(parse_event(v));
-  }
+  r.events_dropped = top.require_int<std::uint64_t>("events_dropped");
+  if (const json::Value* evs = top.claim("events", Kind::kArray))
+    for (const auto& v : evs->array)
+      r.events.push_back(parse_event(top.child(v, "event")));
   return r;
 }
 

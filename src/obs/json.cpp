@@ -264,4 +264,82 @@ std::string number(double v) {
   return buf;
 }
 
+namespace {
+
+const char* kind_name(Value::Kind k) {
+  switch (k) {
+    case Value::Kind::kNull: return "null";
+    case Value::Kind::kBool: return "boolean";
+    case Value::Kind::kNumber: return "number";
+    case Value::Kind::kString: return "string";
+    case Value::Kind::kArray: return "array";
+    case Value::Kind::kObject: return "object";
+  }
+  return "value";
+}
+
+}  // namespace
+
+ObjectReader::ObjectReader(const Value& v, std::string source,
+                           std::string what)
+    : v_(v), source_(std::move(source)), what_(std::move(what)) {
+  if (v.kind != Kind::kObject)
+    fail(what_ + " must be an object, got " + kind_name(v.kind), v.offset);
+  claimed_.assign(v.object.size(), false);
+}
+
+const Value* ObjectReader::claim(const std::string& key, Kind kind) {
+  for (std::size_t i = 0; i < v_.object.size(); ++i) {
+    const auto& [k, m] = v_.object[i];
+    if (k != key) continue;
+    claimed_[i] = true;
+    if (m.kind != kind)
+      fail(what_ + " key '" + key + "' must be a " + kind_name(kind) +
+               ", got " + kind_name(m.kind),
+           m.offset);
+    return &m;
+  }
+  return nullptr;
+}
+
+const Value& ObjectReader::require(const std::string& key, Kind kind) {
+  const Value* m = claim(key, kind);
+  if (!m)
+    fail(what_ + " is missing required " + kind_name(kind) + " key '" +
+             key + "'",
+         v_.offset);
+  return *m;
+}
+
+std::vector<std::string> ObjectReader::require_strings(
+    const std::string& key) {
+  std::vector<std::string> out;
+  for (const Value& item : require(key, Kind::kArray).array) {
+    if (item.kind != Kind::kString)
+      fail(what_ + " key '" + key + "' must hold strings", item.offset);
+    out.push_back(item.str);
+  }
+  return out;
+}
+
+void ObjectReader::finish() const {
+  for (std::size_t i = 0; i < v_.object.size(); ++i)
+    if (!claimed_[i])
+      fail(what_ + " has unknown key '" + v_.object[i].first + "'",
+           v_.object[i].second.key_offset);
+}
+
+void ObjectReader::finish(std::vector<std::string>* notes) const {
+  if (!notes) return;
+  for (std::size_t i = 0; i < v_.object.size(); ++i)
+    if (!claimed_[i])
+      notes->push_back(source_ + ": unknown field '" + v_.object[i].first +
+                       "' (written by a newer vc2m?) — ignored");
+}
+
+void ObjectReader::fail(const std::string& msg, std::size_t offset) const {
+  throw util::Error(source_ + ": " + msg + " at offset " +
+                    std::to_string(offset));
+}
+
 }  // namespace vc2m::obs::json

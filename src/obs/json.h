@@ -1,11 +1,12 @@
-// Minimal JSON layer shared by the obs report readers and writers.
+// Minimal JSON layer shared by every JSON reader and writer.
 //
-// vc2m writes two JSON artifact families — vc2m-bench-report/1 and
-// vc2m-explain-report/1 — and reads both back (perfdiff, explain
-// round-trip). The reader is a small recursive-descent parser with no
-// third-party dependency; it accepts exactly the documents the writers
-// produce plus ordinary whitespace variation, and it is deliberately
-// strict where lenience would hide corruption:
+// vc2m writes four JSON report families — bench, explain, serve and
+// scenario reports — and reads them back (perfdiff, explain round-trip,
+// --recover, scenario merge), as well as scenario files. The reader is a
+// small recursive-descent parser with no third-party dependency; it
+// accepts exactly the documents the writers produce plus ordinary
+// whitespace variation, and it is deliberately strict where lenience
+// would hide corruption:
 //
 //  - duplicate object keys are rejected with the byte offset of the second
 //    occurrence (a truncated-then-rewritten report would otherwise have one
@@ -20,8 +21,17 @@
 //
 // Errors throw util::Error with "<what> JSON: ... at offset N" messages,
 // where <what> names the artifact being parsed.
+//
+// ObjectReader is the one semantic layer over a parsed object, shared by
+// the scenario loader and the bench, explain, serve and scenario report
+// readers: typed member access, integer range checks made on the parsed
+// double before any cast, and a byte offset on every error.
 #pragma once
 
+#include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,5 +73,103 @@ std::string escape(const std::string& s);
 /// Serialize a finite double ("%.9g"); non-finite values write "0", keeping
 /// every emitted artifact parseable by the strict reader above.
 std::string number(double v);
+
+/// Strict reader over one JSON object. Every accessor claims its member;
+/// finish() then deals with the members nobody claimed. Errors read
+/// "<source>: <what> ... at offset N", where `source` names the document
+/// and `what` this object ("scenario", "'totals'").
+class ObjectReader {
+ public:
+  using Kind = Value::Kind;
+
+  /// Throws unless `v` is an object.
+  ObjectReader(const Value& v, std::string source, std::string what);
+
+  /// A reader for `v` (an object nested in this one) in the same document.
+  ObjectReader child(const Value& v, std::string what) const {
+    return ObjectReader(v, source_, std::move(what));
+  }
+
+  /// The member `key` checked to be of `kind`; nullptr when absent.
+  const Value* claim(const std::string& key, Kind kind);
+  /// As claim(), but a missing member is an error.
+  const Value& require(const std::string& key, Kind kind);
+  bool has(const std::string& key) const { return v_.find(key) != nullptr; }
+
+  std::string require_string(const std::string& key) {
+    return require(key, Kind::kString).str;
+  }
+  std::string get_string(const std::string& key, const std::string& dflt) {
+    const Value* m = claim(key, Kind::kString);
+    return m ? m->str : dflt;
+  }
+  double require_number(const std::string& key) {
+    return require(key, Kind::kNumber).number;
+  }
+  bool require_bool(const std::string& key) {
+    return require(key, Kind::kBool).boolean;
+  }
+  bool get_bool(const std::string& key, bool dflt) {
+    const Value* m = claim(key, Kind::kBool);
+    return m ? m->boolean : dflt;
+  }
+  /// An array member whose items must all be strings.
+  std::vector<std::string> require_strings(const std::string& key);
+  ObjectReader require_object(const std::string& key) {
+    return child(require(key, Kind::kObject), "'" + key + "'");
+  }
+
+  /// An integer in [lo, hi]. The range check runs on the parsed double
+  /// before the cast, so -1, 0.5, 1e30 or a value past T fail here
+  /// instead of wrapping.
+  template <std::integral T>
+  T require_int(const std::string& key,
+                T lo = std::numeric_limits<T>::min(),
+                T hi = std::numeric_limits<T>::max()) {
+    return checked_int(key, require(key, Kind::kNumber), lo, hi);
+  }
+  template <std::integral T>
+  T get_int(const std::string& key, T dflt,
+            T lo = std::numeric_limits<T>::min(),
+            T hi = std::numeric_limits<T>::max()) {
+    const Value* m = claim(key, Kind::kNumber);
+    return m ? checked_int(key, *m, lo, hi) : dflt;
+  }
+
+  /// Rejects the first unclaimed member (strict formats).
+  void finish() const;
+  /// Appends one note per unclaimed member (forward-compatible formats: a
+  /// newer writer may add fields); a null `notes` ignores them.
+  void finish(std::vector<std::string>* notes) const;
+
+  const Value& raw() const { return v_; }
+  [[noreturn]] void fail(const std::string& msg, std::size_t offset) const;
+  /// fail() at member `key`'s value (at this object when `key` is absent).
+  [[noreturn]] void fail_at(const std::string& key,
+                            const std::string& msg) const {
+    const Value* m = v_.find(key);
+    fail(msg, m ? m->offset : v_.offset);
+  }
+
+ private:
+  template <std::integral T>
+  T checked_int(const std::string& key, const Value& m, T lo, T hi) const {
+    // 2^digits is the first integer past T's range and exact as a double;
+    // the `d < top` test catches a `hi` that rounds up to it.
+    const double d = m.number;
+    const double top = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(d == std::floor(d) && d >= static_cast<double>(lo) &&
+          d <= static_cast<double>(hi) && d < top))
+      fail(what_ + " key '" + key + "' must be an integer in " +
+               std::to_string(lo) + ".." + std::to_string(hi),
+           m.offset);
+    return static_cast<T>(d);
+  }
+
+  const Value& v_;
+  std::string source_;
+  std::string what_;
+  std::vector<bool> claimed_;
+};
 
 }  // namespace vc2m::obs::json

@@ -11,6 +11,7 @@
 #include "obs/json.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/parse.h"
 
 namespace vc2m::obs {
 
@@ -347,13 +348,22 @@ std::vector<sim::TraceEvent> read_trace_csv(std::istream& is) {
     VC2M_CHECK_MSG(kind.has_value(), "trace CSV line "
                                          << lineno << ": unknown kind '"
                                          << cells[1] << "'");
+    const auto read = [&]<class T>(std::size_t i, const char* column,
+                                   T& field) {
+      const auto v = util::parse_int<T>(cells[i]);
+      VC2M_CHECK_MSG(v, "trace CSV line " << lineno << ": bad " << column
+                                          << " '" << cells[i] << "'");
+      field = *v;
+    };
     sim::TraceEvent ev;
-    ev.when = util::Time::ns(std::stoll(cells[0]));
+    std::int64_t when = 0;
+    read(0, "time_ns", when);
+    ev.when = util::Time::ns(when);
     ev.kind = *kind;
-    ev.core = std::stoi(cells[2]);
-    ev.vcpu = std::stoi(cells[3]);
-    ev.task = std::stoi(cells[4]);
-    ev.job = std::stoll(cells[5]);
+    read(2, "core", ev.core);
+    read(3, "vcpu", ev.vcpu);
+    read(4, "task", ev.task);
+    read(5, "job", ev.job);
     out.push_back(ev);
   }
   return out;

@@ -1,7 +1,6 @@
 #include "scenario/report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -51,77 +50,32 @@ void write_record(std::ostream& os, const ScenarioRecord& r) {
   os << "}";
 }
 
-std::string get_string(const Value& obj, const std::string& key,
-                       const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kString,
-                 what << ": missing string field '" << key << "'");
-  return v->str;
-}
-
-bool get_bool(const Value& obj, const std::string& key,
-              const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kBool,
-                 what << ": missing boolean field '" << key << "'");
-  return v->boolean;
-}
-
-std::uint64_t get_count(const Value& obj, const std::string& key,
-                        const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kNumber && v->number >= 0 &&
-                     v->number == std::floor(v->number),
-                 what << ": field '" << key
-                      << "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(v->number);
-}
-
-std::vector<std::string> get_string_array(const Value& obj,
-                                          const std::string& key,
-                                          const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kArray,
-                 what << ": missing array field '" << key << "'");
-  std::vector<std::string> out;
-  for (const Value& item : v->array) {
-    VC2M_CHECK_MSG(item.kind == Kind::kString,
-                   what << ": field '" << key << "' must hold strings");
-    out.push_back(item.str);
+ScenarioRecord parse_record(obs::json::ObjectReader r) {
+  ScenarioRecord rec;
+  rec.name = r.require_string("name");
+  rec.file = r.require_string("file");
+  rec.scenario_hash = r.require_string("scenario_hash");
+  const std::string verdict = r.require_string("verdict");
+  if (verdict != "schedulable" && verdict != "unschedulable")
+    r.fail_at("verdict", "bad verdict '" + verdict + "'");
+  rec.schedulable = verdict == "schedulable";
+  rec.digest = r.require_string("digest");
+  rec.passed = r.require_bool("passed");
+  rec.failures = r.require_strings("failures");
+  rec.rejection_constraints = r.require_strings("rejection_constraints");
+  rec.simulated = r.require_bool("simulated");
+  if (rec.simulated) {
+    auto m = r.require_object("metrics");
+    rec.jobs_released = m.require_int<std::uint64_t>("jobs_released");
+    rec.jobs_completed = m.require_int<std::uint64_t>("jobs_completed");
+    rec.deadline_misses = m.require_int<std::uint64_t>("deadline_misses");
+    rec.faults_injected = m.require_int<std::uint64_t>("faults_injected");
+    rec.jobs_killed = m.require_int<std::uint64_t>("jobs_killed");
+    rec.jobs_deferred = m.require_int<std::uint64_t>("jobs_deferred");
+    rec.trace_events = m.require_int<std::uint64_t>("trace_events");
+    rec.trace_violations = m.require_int<std::uint64_t>("trace_violations");
   }
-  return out;
-}
-
-ScenarioRecord parse_record(const Value& v, const std::string& what) {
-  VC2M_CHECK_MSG(v.kind == Kind::kObject,
-                 what << ": 'scenarios' entries must be objects");
-  ScenarioRecord r;
-  r.name = get_string(v, "name", what);
-  r.file = get_string(v, "file", what);
-  r.scenario_hash = get_string(v, "scenario_hash", what);
-  const std::string verdict = get_string(v, "verdict", what);
-  VC2M_CHECK_MSG(verdict == "schedulable" || verdict == "unschedulable",
-                 what << ": bad verdict '" << verdict << "'");
-  r.schedulable = verdict == "schedulable";
-  r.digest = get_string(v, "digest", what);
-  r.passed = get_bool(v, "passed", what);
-  r.failures = get_string_array(v, "failures", what);
-  r.rejection_constraints = get_string_array(v, "rejection_constraints", what);
-  r.simulated = get_bool(v, "simulated", what);
-  if (r.simulated) {
-    const Value* m = v.find("metrics");
-    VC2M_CHECK_MSG(m && m->kind == Kind::kObject,
-                   what << ": simulated record lacks a 'metrics' object");
-    r.jobs_released = get_count(*m, "jobs_released", what);
-    r.jobs_completed = get_count(*m, "jobs_completed", what);
-    r.deadline_misses = get_count(*m, "deadline_misses", what);
-    r.faults_injected = get_count(*m, "faults_injected", what);
-    r.jobs_killed = get_count(*m, "jobs_killed", what);
-    r.jobs_deferred = get_count(*m, "jobs_deferred", what);
-    r.trace_events = get_count(*m, "trace_events", what);
-    r.trace_violations = get_count(*m, "trace_violations", what);
-  }
-  return r;
+  return rec;
 }
 
 }  // namespace
@@ -165,57 +119,31 @@ ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
   std::ostringstream buf;
   buf << is.rdbuf();
   const Value root = obs::json::parse(buf.str(), what);
-  VC2M_CHECK_MSG(root.kind == Kind::kObject,
-                 what << ": top level must be an object");
-  // Forward compatibility: top-level fields this reader does not know are
-  // reported through `notes`, never rejected — a newer writer may
-  // legitimately add them.
-  if (notes) {
-    static constexpr const char* kKnown[] = {
-        "schema", "git_rev", "corpus", "shard",     "interrupted",
-        "total",  "passed",  "failed", "scenarios"};
-    for (const auto& [k, v] : root.object) {
-      bool hit = false;
-      for (const char* known : kKnown) hit = hit || k == known;
-      if (!hit)
-        notes->push_back(what + ": unknown field '" + k +
-                         "' (written by a newer vc2m?) — ignored");
-    }
-  }
+  obs::json::ObjectReader top(root, what, "report");
   ScenarioReport r;
-  r.schema = get_string(root, "schema", what);
-  VC2M_CHECK_MSG(r.schema == kReportSchema,
-                 what << ": unsupported schema '" << r.schema << "'");
-  r.git_rev = get_string(root, "git_rev", what);
-  r.corpus = get_string(root, "corpus", what);
-  const Value* shard = root.find("shard");
-  VC2M_CHECK_MSG(shard && shard->kind == Kind::kObject,
-                 what << ": missing 'shard' object");
-  r.shard_index = static_cast<int>(get_count(*shard, "index", what));
-  r.shard_count = static_cast<int>(get_count(*shard, "count", what));
-  VC2M_CHECK_MSG(r.shard_count >= 1 && r.shard_index < r.shard_count,
-                 what << ": bad shard " << r.shard_index << "/"
-                      << r.shard_count);
-  if (const Value* intr = root.find("interrupted")) {
-    VC2M_CHECK_MSG(intr->kind == Kind::kBool,
-                   what << ": 'interrupted' must be a boolean");
-    r.interrupted = intr->boolean;
-  }
-  const Value* scenarios = root.find("scenarios");
-  VC2M_CHECK_MSG(scenarios && scenarios->kind == Kind::kArray,
-                 what << ": missing 'scenarios' array");
-  for (const Value& v : scenarios->array) {
-    ScenarioRecord rec = parse_record(v, what);
-    VC2M_CHECK_MSG(r.find(rec.name) == nullptr,
-                   what << ": duplicate scenario '" << rec.name << "'");
+  r.schema = top.require_string("schema");
+  if (r.schema != kReportSchema)
+    top.fail_at("schema", "unsupported schema '" + r.schema + "'");
+  r.git_rev = top.require_string("git_rev");
+  r.corpus = top.require_string("corpus");
+  auto shard = top.require_object("shard");
+  r.shard_count = shard.require_int<int>("count", 1);
+  r.shard_index = shard.require_int<int>("index", 0, r.shard_count - 1);
+  r.interrupted = top.get_bool("interrupted", false);
+  for (const Value& v : top.require("scenarios", Kind::kArray).array) {
+    ScenarioRecord rec = parse_record(top.child(v, "scenario record"));
+    if (r.find(rec.name))
+      top.fail("duplicate scenario '" + rec.name + "'", v.offset);
     r.records.push_back(std::move(rec));
   }
-  VC2M_CHECK_MSG(get_count(root, "total", what) == r.records.size(),
-                 what << ": 'total' disagrees with the record count");
-  VC2M_CHECK_MSG(get_count(root, "passed", what) == r.passed(),
-                 what << ": 'passed' disagrees with the records");
-  VC2M_CHECK_MSG(get_count(root, "failed", what) == r.failed(),
-                 what << ": 'failed' disagrees with the records");
+  const auto check_count = [&](const char* key, std::size_t want) {
+    if (top.require_int<std::uint64_t>(key) != want)
+      top.fail_at(key, std::string("'") + key + "' disagrees with the records");
+  };
+  check_count("total", r.records.size());
+  check_count("passed", r.passed());
+  check_count("failed", r.failed());
+  top.finish(notes);
   return r;
 }
 

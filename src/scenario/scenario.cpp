@@ -1,10 +1,8 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "core/strategy.h"
@@ -19,131 +17,17 @@ namespace vc2m::scenario {
 
 namespace {
 
+using obs::json::ObjectReader;
 using obs::json::Value;
 using Kind = Value::Kind;
 
-/// Semantic-layer errors mirror the parser's own format: the source name,
-/// what went wrong, and the byte offset of the offending token.
-[[noreturn]] void fail_at(const std::string& source, const std::string& msg,
-                          std::size_t offset) {
-  std::ostringstream os;
-  os << source << ": " << msg << " at offset " << offset;
-  throw util::Error(os.str());
-}
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kNull: return "null";
-    case Kind::kBool: return "boolean";
-    case Kind::kNumber: return "number";
-    case Kind::kString: return "string";
-    case Kind::kArray: return "array";
-    case Kind::kObject: return "object";
-  }
-  return "value";
-}
-
-/// Strict object reader: every member must be claimed by exactly one
-/// get_*() call; finish() rejects whatever is left, pointing at its key.
-class ObjectReader {
- public:
-  ObjectReader(const Value& v, const std::string& source,
-               const std::string& what)
-      : v_(v), source_(source), what_(what) {
-    if (v.kind != Kind::kObject)
-      fail_at(source_, what_ + " must be an object, got " +
-                           kind_name(v.kind), v.offset);
-  }
-
-  const Value* claim(const std::string& key, Kind kind) {
-    const Value* m = v_.find(key);
-    if (!m) return nullptr;
-    claimed_.insert(key);
-    if (m->kind != kind)
-      fail_at(source_, what_ + " key '" + key + "' must be a " +
-                           kind_name(kind) + ", got " + kind_name(m->kind),
-              m->offset);
-    return m;
-  }
-
-  std::string get_string(const std::string& key, const std::string& dflt) {
-    const Value* m = claim(key, Kind::kString);
-    return m ? m->str : dflt;
-  }
-
-  std::string require_string(const std::string& key) {
-    const Value* m = claim(key, Kind::kString);
-    if (!m)
-      fail_at(source_, what_ + " is missing required string key '" + key +
-                           "'", v_.offset);
-    return m->str;
-  }
-
-  double require_number(const std::string& key) {
-    const Value* m = claim(key, Kind::kNumber);
-    if (!m)
-      fail_at(source_, what_ + " is missing required number key '" + key +
-                           "'", v_.offset);
-    return m->number;
-  }
-
-  /// A non-negative integer-valued number, or `dflt` when absent.
-  std::uint64_t get_index(const std::string& key, std::uint64_t dflt) {
-    const Value* m = claim(key, Kind::kNumber);
-    if (!m) return dflt;
-    if (m->number < 0 || m->number != std::floor(m->number))
-      fail_at(source_, what_ + " key '" + key +
-                           "' must be a non-negative integer", m->offset);
-    return static_cast<std::uint64_t>(m->number);
-  }
-
-  /// An integer in [1, cap], narrowed to int, or `dflt` when absent. The
-  /// bound check runs on the parsed double before any cast, so a value
-  /// past INT_MAX (e.g. 2^32 + 1) fails loudly instead of wrapping into
-  /// range.
-  int get_int(const std::string& key, int dflt, int cap) {
-    const Value* m = claim(key, Kind::kNumber);
-    if (!m) return dflt;
-    if (m->number != std::floor(m->number) || m->number < 1 ||
-        m->number > static_cast<double>(cap))
-      fail_at(source_, what_ + " key '" + key + "' must be an integer in "
-                           "1.." + std::to_string(cap), m->offset);
-    return static_cast<int>(m->number);
-  }
-
-  bool get_bool(const std::string& key, bool dflt) {
-    const Value* m = claim(key, Kind::kBool);
-    return m ? m->boolean : dflt;
-  }
-
-  bool has(const std::string& key) const { return v_.find(key) != nullptr; }
-
-  /// Reject every member no claim() touched — the unknown-key gate.
-  void finish() const {
-    for (const auto& [key, member] : v_.object)
-      if (!claimed_.count(key))
-        fail_at(source_, what_ + " has unknown key '" + key + "'",
-                member.key_offset);
-  }
-
-  const Value& raw() const { return v_; }
-
- private:
-  const Value& v_;
-  const std::string& source_;
-  std::string what_;
-  std::set<std::string> claimed_;
-};
-
-WorkloadSpec parse_workload(const Value& v, const std::string& source,
-                            const std::string& base_dir) {
-  ObjectReader r(v, source, "'workload'");
+WorkloadSpec parse_workload(ObjectReader r, const std::string& base_dir) {
   WorkloadSpec w;
   if (r.has("file")) {
     w.kind = WorkloadSpec::Kind::kFile;
     const std::string rel = r.require_string("file");
     if (rel.empty())
-      fail_at(source, "'workload' key 'file' must not be empty", v.offset);
+      r.fail_at("file", "'workload' key 'file' must not be empty");
     std::filesystem::path p(rel);
     w.file = p.is_absolute() || base_dir.empty()
                  ? rel
@@ -154,57 +38,46 @@ WorkloadSpec parse_workload(const Value& v, const std::string& source,
   w.kind = WorkloadSpec::Kind::kGenerate;
   w.util = r.require_number("util");
   if (!(w.util > 0))
-    fail_at(source, "'workload' key 'util' must be positive", v.offset);
+    r.fail_at("util", "'workload' key 'util' must be positive");
   const std::string dist = r.get_string("dist", "uniform");
   if (dist == "uniform") w.dist = workload::UtilDist::kUniform;
   else if (dist == "light") w.dist = workload::UtilDist::kBimodalLight;
   else if (dist == "medium") w.dist = workload::UtilDist::kBimodalMedium;
   else if (dist == "heavy") w.dist = workload::UtilDist::kBimodalHeavy;
   else
-    fail_at(source, "'workload' key 'dist' must be one of "
-                    "uniform|light|medium|heavy, got '" + dist + "'",
-            v.find("dist")->offset);
-  w.vms = r.get_int("vms", 1, kMaxVms);
+    r.fail_at("dist", "'workload' key 'dist' must be one of "
+                      "uniform|light|medium|heavy, got '" + dist + "'");
+  w.vms = r.get_int("vms", 1, 1, kMaxVms);
   r.finish();
   return w;
 }
 
-SimulateSpec parse_simulate(const Value& v, const std::string& source) {
-  ObjectReader r(v, source, "'simulate'");
-  SimulateSpec s;
-  s.hyperperiods = r.get_int("hyperperiods", 3, kMaxHyperperiods);
-  r.finish();
-  return s;
-}
-
-Expectation parse_expect(const Value& v, const std::string& source) {
-  ObjectReader r(v, source, "'expect'");
+Expectation parse_expect(ObjectReader r) {
+  const Value& v = r.raw();
   Expectation e;
   const std::string verdict = r.require_string("verdict");
   if (verdict == "schedulable") e.schedulable = true;
   else if (verdict == "unschedulable") e.schedulable = false;
   else
-    fail_at(source, "'expect' key 'verdict' must be schedulable or "
-                    "unschedulable, got '" + verdict + "'",
-            v.find("verdict")->offset);
+    r.fail_at("verdict", "'expect' key 'verdict' must be schedulable or "
+                         "unschedulable, got '" + verdict + "'");
   e.digest = r.get_string("digest", "");
   if (const Value* m = r.claim("trace_clean", Kind::kBool))
     e.trace_clean = m->boolean;
   if (r.has("min_faults_injected"))
-    e.min_faults_injected = r.get_index("min_faults_injected", 0);
+    e.min_faults_injected = r.require_int<std::uint64_t>("min_faults_injected");
   if (r.has("max_deadline_misses"))
-    e.max_deadline_misses = r.get_index("max_deadline_misses", 0);
-  if (const Value* m = r.claim("rejection_constraints", Kind::kArray)) {
-    for (const Value& item : m->array) {
-      if (item.kind != Kind::kString)
-        fail_at(source, "'expect' key 'rejection_constraints' must hold "
-                        "strings", item.offset);
+    e.max_deadline_misses = r.require_int<std::uint64_t>("max_deadline_misses");
+  if (r.has("rejection_constraints")) {
+    e.rejection_constraints = r.require_strings("rejection_constraints");
+    const auto& items = v.find("rejection_constraints")->array;
+    for (std::size_t i = 0; i < items.size(); ++i) {
       obs::DecisionConstraint c;
-      if (!obs::decision_constraint_from_string(item.str, c) ||
+      if (!obs::decision_constraint_from_string(items[i].str, c) ||
           c == obs::DecisionConstraint::kNone)
-        fail_at(source, "'expect' names unknown rejection constraint '" +
-                            item.str + "'", item.offset);
-      e.rejection_constraints.push_back(item.str);
+        r.fail("'expect' names unknown rejection constraint '" +
+                   items[i].str + "'",
+               items[i].offset);
     }
   }
   r.finish();
@@ -229,80 +102,71 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   sc.content_hash = text_digest(text);
   const std::string schema = r.require_string("schema");
   if (schema != kScenarioSchema)
-    fail_at(source, "unsupported scenario schema '" + schema + "' (want " +
-                        std::string(kScenarioSchema) + ")",
-            root.find("schema")->offset);
+    r.fail_at("schema", "unsupported scenario schema '" + schema +
+                            "' (want " + kScenarioSchema + ")");
 
   sc.name = r.require_string("name");
   if (!valid_name(sc.name))
-    fail_at(source, "'name' must match [a-z0-9-]+, got '" + sc.name + "'",
-            root.find("name")->offset);
+    r.fail_at("name", "'name' must match [a-z0-9-]+, got '" + sc.name + "'");
   sc.description = r.get_string("description", "");
 
   sc.platform = r.get_string("platform", "A");
   if (sc.platform != "A" && sc.platform != "B" && sc.platform != "C")
-    fail_at(source, "'platform' must be A, B, or C, got '" + sc.platform +
-                        "'", root.find("platform")->offset);
+    r.fail_at("platform",
+              "'platform' must be A, B, or C, got '" + sc.platform + "'");
 
   sc.solution = r.get_string("solution", "flat");
   if (!core::StrategyRegistry::instance().find(sc.solution))
-    fail_at(source, "'solution' names no registered strategy: '" +
-                        sc.solution + "'", root.find("solution")->offset);
+    r.fail_at("solution", "'solution' names no registered strategy: '" +
+                              sc.solution + "'");
 
-  sc.seed = r.get_index("seed", 42);
+  sc.seed = r.get_int<std::uint64_t>("seed", 42);
 
-  const Value* wl = r.claim("workload", Kind::kObject);
-  if (!wl)
-    fail_at(source, "scenario is missing required object key 'workload'",
-            root.offset);
-  std::string base_dir;
-  if (!source.empty()) {
-    std::error_code ec;
-    base_dir = std::filesystem::path(source).parent_path().string();
-  }
-  sc.workload = parse_workload(*wl, source, base_dir);
+  const std::string base_dir =
+      std::filesystem::path(source).parent_path().string();
+  sc.workload = parse_workload(r.require_object("workload"), base_dir);
 
   sc.faults = r.get_string("faults", "");
   if (!sc.faults.empty()) {
     try {
       (void)sim::parse_fault_spec(sc.faults);
     } catch (const util::Error& e) {
-      fail_at(source, std::string("'faults': ") + e.what(),
-              root.find("faults")->offset);
+      r.fail_at("faults", std::string("'faults': ") + e.what());
     }
   }
 
   sc.policy = r.get_string("policy", "strict");
   if (!sim::enforcement_policy_from_string(sc.policy))
-    fail_at(source, "'policy' must be strict|kill|throttle|degrade, got '" +
-                        sc.policy + "'", root.find("policy")->offset);
+    r.fail_at("policy", "'policy' must be strict|kill|throttle|degrade, got '" +
+                            sc.policy + "'");
 
-  if (const Value* s = r.claim("simulate", Kind::kObject))
-    sc.simulate = parse_simulate(*s, source);
+  if (const Value* s = r.claim("simulate", Kind::kObject)) {
+    ObjectReader sim = r.child(*s, "'simulate'");
+    sc.simulate = SimulateSpec{};
+    sc.simulate->hyperperiods =
+        sim.get_int("hyperperiods", 3, 1, kMaxHyperperiods);
+    sim.finish();
+  }
 
-  const Value* ex = r.claim("expect", Kind::kObject);
-  if (!ex)
-    fail_at(source, "scenario is missing required object key 'expect'",
-            root.offset);
-  sc.expect = parse_expect(*ex, source);
+  sc.expect = parse_expect(r.require_object("expect"));
   r.finish();
 
   // Cross-field semantics: fail at load, not halfway through a run.
   if (sc.simulate && !sc.expect.schedulable)
-    fail_at(source, "'simulate' requires an expected verdict of "
-                    "schedulable (nothing to deploy otherwise)", ex->offset);
+    r.fail_at("expect", "'simulate' requires an expected verdict of "
+                        "schedulable (nothing to deploy otherwise)");
   if (!sc.simulate &&
       (sc.expect.trace_clean || sc.expect.min_faults_injected ||
        sc.expect.max_deadline_misses))
-    fail_at(source, "'expect' has runtime expectations (trace_clean / "
-                    "min_faults_injected / max_deadline_misses) but the "
-                    "scenario has no 'simulate' block", ex->offset);
+    r.fail_at("expect", "'expect' has runtime expectations (trace_clean / "
+                        "min_faults_injected / max_deadline_misses) but the "
+                        "scenario has no 'simulate' block");
   if (sc.expect.min_faults_injected && sc.faults.empty())
-    fail_at(source, "'expect' key 'min_faults_injected' requires a "
-                    "'faults' plan", ex->offset);
+    r.fail_at("expect", "'expect' key 'min_faults_injected' requires a "
+                        "'faults' plan");
   if (!sc.expect.rejection_constraints.empty() && sc.expect.schedulable)
-    fail_at(source, "'expect' key 'rejection_constraints' requires an "
-                    "unschedulable verdict", ex->offset);
+    r.fail_at("expect", "'expect' key 'rejection_constraints' requires an "
+                        "unschedulable verdict");
   return sc;
 }
 

@@ -10,6 +10,7 @@
 
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/record.h"
 
 namespace vc2m::service {
 
@@ -62,11 +63,33 @@ void write_all(int fd, const std::string& path, const char* data,
 
 }  // namespace
 
+std::string frame_header_payload(std::string_view schema,
+                                 const std::string& config_digest,
+                                 std::string_view key, std::uint64_t value) {
+  std::ostringstream os;
+  os << schema << "|config=" << config_digest << "|" << key << "=" << value;
+  return os.str();
+}
+
+std::optional<FrameHeader> parse_frame_header(std::string_view payload,
+                                              std::string_view schema,
+                                              std::string_view key) {
+  try {
+    util::RecordReader in(payload, '|', "frame header");
+    if (in.next_raw() != schema) return std::nullopt;
+    FrameHeader h;
+    h.config_digest = std::string(in.next("config"));
+    h.value = in.next_int<std::uint64_t>(key);
+    in.finish();
+    return h;
+  } catch (const util::Error&) {
+    return std::nullopt;
+  }
+}
+
 std::string journal_header_payload(const std::string& config_digest,
                                    std::uint64_t base) {
-  std::ostringstream os;
-  os << kJournalSchema << "|config=" << config_digest << "|base=" << base;
-  return os.str();
+  return frame_header_payload(kJournalSchema, config_digest, "base", base);
 }
 
 JournalWriter::~JournalWriter() {
@@ -175,26 +198,11 @@ JournalScan scan_journal(const std::string& path) {
   out.torn = frames.torn;
 
   if (!frames.payloads.empty()) {
-    // Header: "<schema>|config=<hex>|base=<N>".
-    const std::string& payload = frames.payloads.front();
-    const std::string schema_prefix = std::string(kJournalSchema) + "|";
-    if (payload.rfind(schema_prefix, 0) == 0) {
-      std::string rest = payload.substr(schema_prefix.size());
-      const auto bar = rest.find('|');
-      if (bar != std::string::npos && rest.rfind("config=", 0) == 0 &&
-          rest.find("base=", bar + 1) == bar + 1) {
-        const std::string base_str = rest.substr(bar + 6);
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long long base =
-            std::strtoull(base_str.c_str(), &end, 10);
-        if (!base_str.empty() && end == base_str.c_str() + base_str.size() &&
-            errno == 0) {
-          out.config_digest = rest.substr(7, bar - 7);
-          out.base = base;
-          out.header_ok = true;
-        }
-      }
+    if (const auto h = parse_frame_header(frames.payloads.front(),
+                                          kJournalSchema, "base")) {
+      out.config_digest = h->config_digest;
+      out.base = h->value;
+      out.header_ok = true;
     }
   }
   if (!out.header_ok) {

@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vc2m::service {
@@ -96,6 +98,20 @@ JournalScan scan_journal(const std::string& path);
 /// "vc2m-admission-journal/1|config=<hex16>|base=<N>".
 std::string journal_header_payload(const std::string& config_digest,
                                    std::uint64_t base);
+
+/// A framed file's header, "<schema>|config=<digest>|<key>=<N>": the
+/// journal's (key "base") and the metrics timeline's (key "every").
+struct FrameHeader {
+  std::string config_digest;
+  std::uint64_t value = 0;
+};
+std::string frame_header_payload(std::string_view schema,
+                                 const std::string& config_digest,
+                                 std::string_view key, std::uint64_t value);
+/// nullopt when `payload` is not such a header (never throws).
+std::optional<FrameHeader> parse_frame_header(std::string_view payload,
+                                              std::string_view schema,
+                                              std::string_view key);
 
 /// Create/truncate `path`, write `bytes`, and fsync before closing — the
 /// durable half of the snapshot's write-tmp-then-rename protocol. Throws

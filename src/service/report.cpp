@@ -1,8 +1,6 @@
 #include "service/report.h"
 
-#include <cmath>
 #include <fstream>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -11,85 +9,6 @@
 #include "util/file.h"
 
 namespace vc2m::service {
-
-namespace {
-
-using obs::json::Value;
-using Kind = Value::Kind;
-
-std::string get_string(const Value& obj, const std::string& key,
-                       const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kString,
-                 what << ": missing string field '" << key << "'");
-  return v->str;
-}
-
-std::uint64_t get_count(const Value& obj, const std::string& key,
-                        const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kNumber && v->number >= 0 &&
-                     v->number == std::floor(v->number),
-                 what << ": field '" << key
-                      << "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(v->number);
-}
-
-double get_number(const Value& obj, const std::string& key,
-                  const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kNumber,
-                 what << ": missing numeric field '" << key << "'");
-  return v->number;
-}
-
-const Value& get_object(const Value& obj, const std::string& key,
-                        const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kObject,
-                 what << ": missing object field '" << key << "'");
-  return *v;
-}
-
-void write_summary(std::ostream& os, const obs::HistogramSummary& h) {
-  os << "{\"count\": " << h.count << ", \"mean\": " << obs::json::number(h.mean)
-     << ", \"min\": " << obs::json::number(h.min)
-     << ", \"max\": " << obs::json::number(h.max)
-     << ", \"p50\": " << obs::json::number(h.p50)
-     << ", \"p90\": " << obs::json::number(h.p90)
-     << ", \"p95\": " << obs::json::number(h.p95)
-     << ", \"p99\": " << obs::json::number(h.p99) << "}";
-}
-
-obs::HistogramSummary parse_summary(const Value& v, const std::string& what) {
-  obs::HistogramSummary h;
-  h.count = get_count(v, "count", what);
-  h.mean = get_number(v, "mean", what);
-  h.min = get_number(v, "min", what);
-  h.max = get_number(v, "max", what);
-  h.p50 = get_number(v, "p50", what);
-  h.p90 = get_number(v, "p90", what);
-  h.p95 = get_number(v, "p95", what);
-  h.p99 = get_number(v, "p99", what);
-  return h;
-}
-
-/// Forward compatibility: fields this reader does not know are reported,
-/// never rejected — a newer writer may legitimately add them.
-void surface_unknown(const Value& obj, const char* const* known,
-                     std::size_t n_known, const std::string& what,
-                     std::vector<std::string>* notes) {
-  if (!notes) return;
-  for (const auto& [k, v] : obj.object) {
-    bool hit = false;
-    for (std::size_t i = 0; i < n_known && !hit; ++i) hit = k == known[i];
-    if (!hit)
-      notes->push_back(what + ": unknown field '" + k +
-                       "' (written by a newer vc2m?) — ignored");
-  }
-}
-
-}  // namespace
 
 void write_serve_report(std::ostream& os, const ServeReport& r) {
   os << "{\n";
@@ -120,13 +39,13 @@ void write_serve_report(std::ostream& os, const ServeReport& r) {
   os << "\"decisions\": {\"events\": " << r.decision_events
      << ", \"dropped\": " << r.decision_dropped << "},\n";
   os << "\"latency_us\": {\"admitted\": ";
-  write_summary(os, r.latency_admitted_us);
+  obs::write_histogram_summary(os, r.latency_admitted_us);
   os << ", \"rejected\": ";
-  write_summary(os, r.latency_rejected_us);
+  obs::write_histogram_summary(os, r.latency_rejected_us);
   os << ", \"deferred\": ";
-  write_summary(os, r.latency_deferred_us);
+  obs::write_histogram_summary(os, r.latency_deferred_us);
   os << ", \"shed\": ";
-  write_summary(os, r.latency_shed_us);
+  obs::write_histogram_summary(os, r.latency_shed_us);
   os << "},\n";
   os << "\"state\": {\"vms\": " << r.vms << ", \"vcpus\": " << r.vcpus
      << ", \"cores_used\": " << r.cores_used << ", \"digest\": \""
@@ -145,75 +64,73 @@ ServeReport read_serve_report(std::istream& is, const std::string& what,
                               std::vector<std::string>* notes) {
   std::ostringstream buf;
   buf << is.rdbuf();
-  const Value root = obs::json::parse(buf.str(), what);
-  VC2M_CHECK_MSG(root.kind == Kind::kObject,
-                 what << ": top level must be an object");
-  static constexpr const char* kKnown[] = {
-      "schema", "git_rev",   "trace",     "platform",   "seed",  "config",
-      "totals", "queue",     "decisions", "latency_us", "state",
-      "interrupted"};
-  surface_unknown(root, kKnown, std::size(kKnown), what, notes);
+  const obs::json::Value root = obs::json::parse(buf.str(), what);
+  obs::json::ObjectReader top(root, what, "report");
   ServeReport r;
-  r.schema = get_string(root, "schema", what);
-  VC2M_CHECK_MSG(r.schema == kServeReportSchema,
-                 what << ": unsupported schema '" << r.schema << "'");
-  r.git_rev = get_string(root, "git_rev", what);
-  r.trace = get_string(root, "trace", what);
-  r.platform = get_string(root, "platform", what);
-  r.seed = get_count(root, "seed", what);
-  const Value& cfg = get_object(root, "config", what);
-  r.deadline_us = static_cast<std::int64_t>(get_count(cfg, "deadline_us", what));
-  r.shed_policy = get_string(cfg, "shed_policy", what);
-  r.queue_cap = get_count(cfg, "queue_cap", what);
-  r.max_retries = get_count(cfg, "max_retries", what);
-  r.backoff_us = static_cast<std::int64_t>(get_count(cfg, "backoff_us", what));
-  r.snapshot_every = get_count(cfg, "snapshot_every", what);
-  const Value& t = get_object(root, "totals", what);
-  r.requests = get_count(t, "requests", what);
-  r.arrivals = get_count(t, "arrivals", what);
-  r.admitted = get_count(t, "admitted", what);
-  r.rejected = get_count(t, "rejected", what);
-  r.probe_rejected = get_count(t, "probe_rejected", what);
-  r.removed = get_count(t, "removed", what);
-  r.resized = get_count(t, "resized", what);
-  r.resize_rejected = get_count(t, "resize_rejected", what);
-  r.not_present = get_count(t, "not_present", what);
-  r.deferred = get_count(t, "deferred", what);
-  r.retries = get_count(t, "retries", what);
-  r.shed = get_count(t, "shed", what);
-  r.timed_out = get_count(t, "timed_out", what);
-  r.downgrades = get_count(t, "downgrades", what);
-  r.commits = get_count(t, "commits", what);
-  r.snapshots = get_count(t, "snapshots", what);
-  const Value& q = get_object(root, "queue", what);
-  r.queue_max_depth = get_count(q, "max_depth", what);
-  r.backpressure = get_count(q, "backpressure", what);
-  const Value& d = get_object(root, "decisions", what);
-  r.decision_events = get_count(d, "events", what);
-  r.decision_dropped = get_count(d, "dropped", what);
-  const Value& lat = get_object(root, "latency_us", what);
-  r.latency_admitted_us = parse_summary(get_object(lat, "admitted", what), what);
-  r.latency_rejected_us = parse_summary(get_object(lat, "rejected", what), what);
-  r.latency_deferred_us = parse_summary(get_object(lat, "deferred", what), what);
-  r.latency_shed_us = parse_summary(get_object(lat, "shed", what), what);
-  const Value& s = get_object(root, "state", what);
-  r.vms = get_count(s, "vms", what);
-  r.vcpus = get_count(s, "vcpus", what);
-  r.cores_used = get_count(s, "cores_used", what);
-  r.digest = get_string(s, "digest", what);
-  if (const Value* flag = root.find("interrupted")) {
-    VC2M_CHECK_MSG(flag->kind == Kind::kBool && flag->boolean,
-                   what << ": 'interrupted' may only be present as true");
+  r.schema = top.require_string("schema");
+  if (r.schema != kServeReportSchema)
+    top.fail_at("schema", "unsupported schema '" + r.schema + "'");
+  r.git_rev = top.require_string("git_rev");
+  r.trace = top.require_string("trace");
+  r.platform = top.require_string("platform");
+  r.seed = top.require_int<std::uint64_t>("seed");
+  auto cfg = top.require_object("config");
+  r.deadline_us = cfg.require_int<std::int64_t>("deadline_us", 0);
+  r.shed_policy = cfg.require_string("shed_policy");
+  r.queue_cap = cfg.require_int<std::uint64_t>("queue_cap");
+  r.max_retries = cfg.require_int<std::uint64_t>("max_retries");
+  r.backoff_us = cfg.require_int<std::int64_t>("backoff_us", 0);
+  r.snapshot_every = cfg.require_int<std::uint64_t>("snapshot_every");
+  auto t = top.require_object("totals");
+  r.requests = t.require_int<std::uint64_t>("requests");
+  r.arrivals = t.require_int<std::uint64_t>("arrivals");
+  r.admitted = t.require_int<std::uint64_t>("admitted");
+  r.rejected = t.require_int<std::uint64_t>("rejected");
+  r.probe_rejected = t.require_int<std::uint64_t>("probe_rejected");
+  r.removed = t.require_int<std::uint64_t>("removed");
+  r.resized = t.require_int<std::uint64_t>("resized");
+  r.resize_rejected = t.require_int<std::uint64_t>("resize_rejected");
+  r.not_present = t.require_int<std::uint64_t>("not_present");
+  r.deferred = t.require_int<std::uint64_t>("deferred");
+  r.retries = t.require_int<std::uint64_t>("retries");
+  r.shed = t.require_int<std::uint64_t>("shed");
+  r.timed_out = t.require_int<std::uint64_t>("timed_out");
+  r.downgrades = t.require_int<std::uint64_t>("downgrades");
+  r.commits = t.require_int<std::uint64_t>("commits");
+  r.snapshots = t.require_int<std::uint64_t>("snapshots");
+  auto q = top.require_object("queue");
+  r.queue_max_depth = q.require_int<std::uint64_t>("max_depth");
+  r.backpressure = q.require_int<std::uint64_t>("backpressure");
+  auto d = top.require_object("decisions");
+  r.decision_events = d.require_int<std::uint64_t>("events");
+  r.decision_dropped = d.require_int<std::uint64_t>("dropped");
+  auto lat = top.require_object("latency_us");
+  const auto latency = [&](const char* key) {
+    return obs::read_histogram_summary(lat.require_object(key));
+  };
+  r.latency_admitted_us = latency("admitted");
+  r.latency_rejected_us = latency("rejected");
+  r.latency_deferred_us = latency("deferred");
+  r.latency_shed_us = latency("shed");
+  auto s = top.require_object("state");
+  r.vms = s.require_int<std::uint64_t>("vms");
+  r.vcpus = s.require_int<std::uint64_t>("vcpus");
+  r.cores_used = s.require_int<std::uint64_t>("cores_used");
+  r.digest = s.require_string("digest");
+  if (const auto* flag =
+          top.claim("interrupted", obs::json::Value::Kind::kBool)) {
+    if (!flag->boolean)
+      top.fail("'interrupted' may only be present as true", flag->offset);
     r.interrupted = true;
   }
+  top.finish(notes);
   // Terminal outcomes must account for every enqueued attempt: arrivals plus
   // re-enqueued retries all end in exactly one terminal bucket.
   const std::uint64_t terminal = r.admitted + r.rejected + r.probe_rejected +
                                  r.removed + r.resized + r.resize_rejected +
                                  r.not_present + r.shed + r.timed_out;
-  VC2M_CHECK_MSG(r.interrupted ||
-                     terminal + r.deferred == r.arrivals + r.retries,
-                 what << ": outcome totals do not cover the enqueued attempts");
+  if (!r.interrupted && terminal + r.deferred != r.arrivals + r.retries)
+    top.fail_at("totals", "outcome totals do not cover the enqueued attempts");
   return r;
 }
 

@@ -24,33 +24,13 @@
 #include "util/error.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
+#include "util/parse.h"
+#include "util/record.h"
 #include "util/thread_pool.h"
 
 namespace vc2m::service {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Strict scalar parsing shared by the record/spec parsers.
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(!s.empty() && s[0] != '-' && end == s.c_str() + s.size() &&
-                     errno == 0,
-                 what << ": bad number '" << s << "'");
-  return v;
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(!s.empty() && end == s.c_str() + s.size() && errno == 0,
-                 what << ": bad number '" << s << "'");
-  return v;
-}
 
 bool request_kind_from_string(const std::string& s, RequestKind& out) {
   if (s == "admit") out = RequestKind::kAdmit;
@@ -58,17 +38,6 @@ bool request_kind_from_string(const std::string& s, RequestKind& out) {
   else if (s == "resize") out = RequestKind::kResize;
   else return false;
   return true;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto p = s.find(sep, start);
-    out.push_back(s.substr(start, p - start));
-    if (p == std::string::npos) return out;
-    start = p + 1;
-  }
 }
 
 }  // namespace
@@ -138,33 +107,25 @@ std::string serialize(const JournalRecord& r) {
 }
 
 JournalRecord parse_journal_record(const std::string& payload) {
-  const auto parts = split(payload, '|');
-  VC2M_CHECK_MSG(parts.size() == 12,
-                 "journal record: want 12 fields, got " << parts.size());
-  auto field = [&](std::size_t i, const char* key) -> std::string {
-    const std::string prefix = std::string(key) + "=";
-    VC2M_CHECK_MSG(parts[i].rfind(prefix, 0) == 0,
-                   "journal record: field " << i << " must be '" << key
-                                            << "=...'");
-    return parts[i].substr(prefix.size());
-  };
+  util::RecordReader in(payload, '|', "journal record");
   JournalRecord r;
-  r.seq = parse_u64(field(0, "seq"), "journal record");
-  r.attempt =
-      static_cast<unsigned>(parse_u64(field(1, "attempt"), "journal record"));
-  VC2M_CHECK_MSG(request_kind_from_string(field(2, "kind"), r.kind),
-                 "journal record: unknown kind '" << field(2, "kind") << "'");
-  VC2M_CHECK_MSG(outcome_from_string(field(3, "outcome"), r.outcome),
-                 "journal record: unknown outcome '" << field(3, "outcome")
-                                                     << "'");
-  r.vm = static_cast<int>(parse_i64(field(4, "vm"), "journal record"));
-  r.tasks = parse_u64(field(5, "tasks"), "journal record");
-  r.events = parse_u64(field(6, "events"), "journal record");
-  r.cost_ns = parse_i64(field(7, "cost_ns"), "journal record");
-  r.latency_ns = parse_i64(field(8, "latency_ns"), "journal record");
-  r.dbf_evals = parse_u64(field(9, "dbf"), "journal record");
-  r.budget_evals = parse_u64(field(10, "budget"), "journal record");
-  r.admission_tests = parse_u64(field(11, "adm"), "journal record");
+  r.seq = in.next_int<std::uint64_t>("seq");
+  r.attempt = in.next_int<unsigned>("attempt");
+  const std::string kind(in.next("kind"));
+  if (!request_kind_from_string(kind, r.kind))
+    in.fail("unknown kind '" + kind + "'");
+  const std::string outcome(in.next("outcome"));
+  if (!outcome_from_string(outcome, r.outcome))
+    in.fail("unknown outcome '" + outcome + "'");
+  r.vm = in.next_int<int>("vm");
+  r.tasks = in.next_int<std::uint64_t>("tasks");
+  r.events = in.next_int<std::uint64_t>("events");
+  r.cost_ns = in.next_int<std::int64_t>("cost_ns");
+  r.latency_ns = in.next_int<std::int64_t>("latency_ns");
+  r.dbf_evals = in.next_int<std::uint64_t>("dbf");
+  r.budget_evals = in.next_int<std::uint64_t>("budget");
+  r.admission_tests = in.next_int<std::uint64_t>("adm");
+  in.finish();
   return r;
 }
 
@@ -180,7 +141,10 @@ CrashSpec parse_crash_spec(const std::string& spec) {
   else
     throw util::Error("crash spec: unknown point '" + point +
                       "' (before-append|after-append|mid-snapshot)");
-  out.at = parse_u64(spec.substr(colon + 1), "crash spec");
+  const std::string n = spec.substr(colon + 1);
+  const auto at = util::parse_u64(n);
+  if (!at) throw util::Error("crash spec: bad number '" + n + "'");
+  out.at = *at;
   return out;
 }
 
@@ -426,49 +390,37 @@ bool load_snapshot(const std::string& path, const std::string& digest,
   // The checksum vouches for the bytes; parse failures past this point mean
   // a schema change, which also discards (with a warning), never crashes.
   try {
-    std::istringstream is(body);
-    std::string line;
-    auto next_line = [&]() -> std::string& {
-      VC2M_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                     "snapshot truncated");
-      return line;
-    };
-    auto next_kv = [&](const char* key) -> std::string {
-      const std::string& l = next_line();
-      const std::string prefix = std::string(key) + "=";
-      VC2M_CHECK_MSG(l.rfind(prefix, 0) == 0,
-                     "snapshot: expected '" << key << "=' line");
-      return l.substr(prefix.size());
-    };
-    VC2M_CHECK_MSG(next_line() == kSnapshotSchema, "snapshot: bad schema");
-    if (next_kv("config") != digest) {
+    util::RecordReader in(body, '\n', "snapshot");
+    const auto next_line = [&] { return std::string(in.next_raw()); };
+    if (in.next_raw() != kSnapshotSchema) in.fail("bad schema");
+    if (in.next("config") != digest) {
       warnings.push_back(
           "recover: snapshot '" + path +
           "' was written by a different configuration — discarding it");
       return false;
     }
     State out;
-    out.ordinal = parse_u64(next_kv("ordinal"), "snapshot");
-    journal_base = parse_u64(next_kv("journal_base"), "snapshot");
-    journal_records = parse_u64(next_kv("journal_records"), "snapshot");
-    out.trace_next = parse_u64(next_kv("trace_next"), "snapshot");
+    out.ordinal = in.next_int<std::uint64_t>("ordinal");
+    journal_base = in.next_int<std::uint64_t>("journal_base");
+    journal_records = in.next_int<std::uint64_t>("journal_records");
+    out.trace_next = in.next_int<std::uint64_t>("trace_next");
     out.busy_until =
-        util::Time::ns(parse_i64(next_kv("busy_until"), "snapshot"));
-    out.est_ns_per_task = parse_i64(next_kv("est"), "snapshot");
-    out.commits = parse_u64(next_kv("commits"), "snapshot");
+        util::Time::ns(in.next_int<std::int64_t>("busy_until"));
+    out.est_ns_per_task = in.next_int<std::int64_t>("est");
+    out.commits = in.next_int<std::uint64_t>("commits");
     {
-      std::istringstream ls(next_kv("stats"));
+      std::istringstream ls(std::string(in.next("stats")));
       for (std::uint64_t* fld : stat_fields(out.stats)) {
         VC2M_CHECK_MSG(static_cast<bool>(ls >> *fld), "snapshot: short stats");
       }
     }
-    out.lat_admitted = parse_histogram(next_kv("hist_admitted"));
-    out.lat_rejected = parse_histogram(next_kv("hist_rejected"));
-    out.lat_deferred = parse_histogram(next_kv("hist_deferred"));
-    out.lat_shed = parse_histogram(next_kv("hist_shed"));
+    out.lat_admitted = parse_histogram(in.next("hist_admitted"));
+    out.lat_rejected = parse_histogram(in.next("hist_rejected"));
+    out.lat_deferred = parse_histogram(in.next("hist_deferred"));
+    out.lat_shed = parse_histogram(in.next("hist_shed"));
     auto read_entries = [&](const char* key, const char* tag,
                             std::vector<QueueEntry>& into) {
-      const std::uint64_t n = parse_u64(next_kv(key), "snapshot");
+      const std::uint64_t n = in.next_int<std::uint64_t>(key);
       for (std::uint64_t i = 0; i < n; ++i) {
         std::istringstream ls(next_line());
         std::string t;
@@ -484,7 +436,7 @@ bool load_snapshot(const std::string& path, const std::string& digest,
     };
     read_entries("queue", "q", out.queue);
     read_entries("retry", "r", out.retry);
-    const std::uint64_t nv = parse_u64(next_kv("vcpus"), "snapshot");
+    const std::uint64_t nv = in.next_int<std::uint64_t>("vcpus");
     for (std::uint64_t i = 0; i < nv; ++i) {
       std::istringstream ls(next_line());
       std::string tag;
@@ -515,7 +467,7 @@ bool load_snapshot(const std::string& path, const std::string& digest,
       out.adm.vcpus.push_back(std::move(v));
     }
     {
-      std::istringstream ls(next_kv("cores"));
+      std::istringstream ls(std::string(in.next("cores")));
       std::size_t ncores = 0;
       int sched = 0;
       VC2M_CHECK_MSG(static_cast<bool>(ls >> ncores >> sched >>

@@ -1,39 +1,18 @@
 #include "service/telemetry.h"
 
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "service/journal.h"
 #include "util/error.h"
+#include "util/parse.h"
+#include "util/record.h"
 
 namespace vc2m::service {
 
 namespace {
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty() && s.find('-') == std::string::npos,
-                 "telemetry: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "telemetry: bad " << what << " '" << s << "'");
-  return v;
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty(), "telemetry: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "telemetry: bad " << what << " '" << s << "'");
-  return v;
-}
 
 /// Exact double round-trip as a 16-hex-digit bit pattern (mirrors the
 /// service snapshot's encoding).
@@ -44,28 +23,12 @@ std::string double_bits(double d) {
   return buf;
 }
 
-double bits_double(const std::string& s) {
-  VC2M_CHECK_MSG(s.size() == 16, "telemetry: bad double bits '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 16);
-  VC2M_CHECK_MSG(end == s.c_str() + 16 && errno == 0,
-                 "telemetry: bad double bits '" << s << "'");
-  return std::bit_cast<double>(static_cast<std::uint64_t>(v));
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
+double bits_double(std::string_view s) {
+  const auto v = s.size() == 16 ? util::parse_int<std::uint64_t>(s, 16)
+                                : std::nullopt;
+  if (!v)
+    throw util::Error("telemetry: bad double bits '" + std::string(s) + "'");
+  return std::bit_cast<double>(*v);
 }
 
 }  // namespace
@@ -80,92 +43,65 @@ std::string serialize_histogram(const util::LogHistogram& h) {
   return os.str();
 }
 
-util::LogHistogram parse_histogram(const std::string& text) {
-  const auto parts = split(text, ' ');
-  VC2M_CHECK_MSG(parts.size() >= 6, "telemetry: truncated histogram");
+util::LogHistogram parse_histogram(std::string_view text) {
+  util::RecordReader in(text, ' ', "telemetry histogram");
+  const auto count = [&](std::string_view f, const char* what) {
+    const auto v = util::parse_u64(f);
+    if (!v) in.fail(std::string("bad ") + what + " '" + std::string(f) + "'");
+    return *v;
+  };
   util::LogHistogram::Snapshot snap;
-  snap.count = parse_u64(parts[0], "histogram count");
-  snap.nonpositive = parse_u64(parts[1], "histogram nonpositive");
-  snap.sum = bits_double(parts[2]);
-  snap.min = bits_double(parts[3]);
-  snap.max = bits_double(parts[4]);
-  const std::uint64_t pairs = parse_u64(parts[5], "histogram pair count");
-  VC2M_CHECK_MSG(parts.size() == 6 + pairs,
-                 "telemetry: histogram pair count mismatch");
+  snap.count = count(in.next_raw(), "count");
+  snap.nonpositive = count(in.next_raw(), "nonpositive");
+  snap.sum = bits_double(in.next_raw());
+  snap.min = bits_double(in.next_raw());
+  snap.max = bits_double(in.next_raw());
+  const std::uint64_t pairs = count(in.next_raw(), "pair count");
   for (std::uint64_t k = 0; k < pairs; ++k) {
-    const std::string& cell = parts[6 + k];
+    const std::string_view cell = in.next_raw();
     const auto colon = cell.find(':');
-    VC2M_CHECK_MSG(colon != std::string::npos,
-                   "telemetry: bad histogram bucket '" << cell << "'");
-    snap.counts.emplace_back(
-        parse_u64(cell.substr(0, colon), "histogram bucket index"),
-        parse_u64(cell.substr(colon + 1), "histogram bucket count"));
+    if (colon == std::string_view::npos)
+      in.fail("bad bucket '" + std::string(cell) + "'");
+    snap.counts.emplace_back(count(cell.substr(0, colon), "bucket index"),
+                             count(cell.substr(colon + 1), "bucket count"));
   }
+  in.finish();
   return util::LogHistogram::from_snapshot(snap);
 }
 
 std::string serialize(const MetricsSample& s) {
   std::ostringstream os;
-  os << "sample=" << s.index << "|served=" << s.served
-     << "|vt_ns=" << s.vt_ns << "|queue=" << s.queue_depth
-     << "|retry=" << s.retry_depth << "|est=" << s.est_ns_per_task
-     << "|arrivals=" << s.arrivals << "|admitted=" << s.admitted
-     << "|rejected=" << s.rejected << "|probe_rejected=" << s.probe_rejected
-     << "|deferred=" << s.deferred << "|timed_out=" << s.timed_out
-     << "|shed=" << s.shed << "|downgrades=" << s.downgrades
-     << "|backpressure=" << s.backpressure << "|commits=" << s.commits
-     << "|dbf=" << s.dbf_evals << "|budget=" << s.budget_evals
-     << "|adm=" << s.admission_tests
-     << "|lat_admitted=" << serialize_histogram(s.lat_admitted)
-     << "|lat_rejected=" << serialize_histogram(s.lat_rejected)
-     << "|lat_deferred=" << serialize_histogram(s.lat_deferred)
-     << "|lat_shed=" << serialize_histogram(s.lat_shed);
+  const char* sep = "";
+#define VC2M_WRITE_FIELD(type, member, key, column) \
+  os << sep << key "=" << s.member;                 \
+  sep = "|";
+  VC2M_SAMPLE_FIELDS(VC2M_WRITE_FIELD)
+#undef VC2M_WRITE_FIELD
+#define VC2M_WRITE_HISTOGRAM(member, key) \
+  os << "|" key "=" << serialize_histogram(s.member);
+  VC2M_SAMPLE_HISTOGRAMS(VC2M_WRITE_HISTOGRAM)
+#undef VC2M_WRITE_HISTOGRAM
   return os.str();
 }
 
 MetricsSample parse_metrics_sample(const std::string& payload) {
-  const auto parts = split(payload, '|');
-  VC2M_CHECK_MSG(parts.size() == 23,
-                 "metrics sample: expected 23 fields, got " << parts.size());
-  auto field = [&](std::size_t i, const char* key) -> std::string {
-    const std::string prefix = std::string(key) + "=";
-    VC2M_CHECK_MSG(parts[i].rfind(prefix, 0) == 0,
-                   "metrics sample: field " << i << " is not '" << key
-                                            << "='");
-    return parts[i].substr(prefix.size());
-  };
+  util::RecordReader in(payload, '|', "metrics sample");
   MetricsSample s;
-  s.index = parse_u64(field(0, "sample"), "sample");
-  s.served = parse_u64(field(1, "served"), "served");
-  s.vt_ns = parse_i64(field(2, "vt_ns"), "vt_ns");
-  s.queue_depth = parse_u64(field(3, "queue"), "queue");
-  s.retry_depth = parse_u64(field(4, "retry"), "retry");
-  s.est_ns_per_task = parse_i64(field(5, "est"), "est");
-  s.arrivals = parse_u64(field(6, "arrivals"), "arrivals");
-  s.admitted = parse_u64(field(7, "admitted"), "admitted");
-  s.rejected = parse_u64(field(8, "rejected"), "rejected");
-  s.probe_rejected = parse_u64(field(9, "probe_rejected"), "probe_rejected");
-  s.deferred = parse_u64(field(10, "deferred"), "deferred");
-  s.timed_out = parse_u64(field(11, "timed_out"), "timed_out");
-  s.shed = parse_u64(field(12, "shed"), "shed");
-  s.downgrades = parse_u64(field(13, "downgrades"), "downgrades");
-  s.backpressure = parse_u64(field(14, "backpressure"), "backpressure");
-  s.commits = parse_u64(field(15, "commits"), "commits");
-  s.dbf_evals = parse_u64(field(16, "dbf"), "dbf");
-  s.budget_evals = parse_u64(field(17, "budget"), "budget");
-  s.admission_tests = parse_u64(field(18, "adm"), "adm");
-  s.lat_admitted = parse_histogram(field(19, "lat_admitted"));
-  s.lat_rejected = parse_histogram(field(20, "lat_rejected"));
-  s.lat_deferred = parse_histogram(field(21, "lat_deferred"));
-  s.lat_shed = parse_histogram(field(22, "lat_shed"));
+#define VC2M_READ_FIELD(type, member, key, column) \
+  s.member = in.next_int<type>(key);
+  VC2M_SAMPLE_FIELDS(VC2M_READ_FIELD)
+#undef VC2M_READ_FIELD
+#define VC2M_READ_HISTOGRAM(member, key) \
+  s.member = parse_histogram(in.next(key));
+  VC2M_SAMPLE_HISTOGRAMS(VC2M_READ_HISTOGRAM)
+#undef VC2M_READ_HISTOGRAM
+  in.finish();
   return s;
 }
 
 std::string timeline_header_payload(const std::string& config_digest,
                                     std::uint64_t every) {
-  std::ostringstream os;
-  os << kTimelineSchema << "|config=" << config_digest << "|every=" << every;
-  return os.str();
+  return frame_header_payload(kTimelineSchema, config_digest, "every", every);
 }
 
 TimelineScan scan_timeline(const std::string& path) {
@@ -177,26 +113,12 @@ TimelineScan scan_timeline(const std::string& path) {
   out.torn = frames.torn;
 
   if (!frames.payloads.empty()) {
-    const std::string& payload = frames.payloads.front();
-    const std::string schema_prefix = std::string(kTimelineSchema) + "|";
-    if (payload.rfind(schema_prefix, 0) == 0) {
-      std::string rest = payload.substr(schema_prefix.size());
-      const auto bar = rest.find('|');
-      if (bar != std::string::npos && rest.rfind("config=", 0) == 0 &&
-          rest.find("every=", bar + 1) == bar + 1) {
-        const std::string every_str = rest.substr(bar + 7);
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long long every =
-            std::strtoull(every_str.c_str(), &end, 10);
-        if (!every_str.empty() &&
-            end == every_str.c_str() + every_str.size() && errno == 0 &&
-            every > 0) {
-          out.config_digest = rest.substr(7, bar - 7);
-          out.every = every;
-          out.header_ok = true;
-        }
-      }
+    const auto h = parse_frame_header(frames.payloads.front(),
+                                      kTimelineSchema, "every");
+    if (h && h->value > 0) {
+      out.config_digest = h->config_digest;
+      out.every = h->value;
+      out.header_ok = true;
     }
   }
   if (!out.header_ok) {
@@ -253,16 +175,16 @@ std::vector<obs::RequestSpan> read_span_dump(const std::string& path) {
   VC2M_CHECK_MSG(std::getline(f, line) &&
                      line.rfind(std::string(kSpanDumpSchema) + " ", 0) == 0,
                  "'" << path << "' is not a " << kSpanDumpSchema << " dump");
-  const std::uint64_t count =
-      parse_u64(line.substr(std::string(kSpanDumpSchema).size() + 1),
-                "span dump count");
+  const std::string n = line.substr(std::string(kSpanDumpSchema).size() + 1);
+  const auto count = util::parse_u64(n);
+  VC2M_CHECK_MSG(count, "span dump '" << path << "': bad count '" << n << "'");
   std::vector<obs::RequestSpan> out;
   while (std::getline(f, line)) {
     if (line.empty()) continue;
     out.push_back(obs::parse_request_span(line));
   }
-  VC2M_CHECK_MSG(out.size() == count,
-                 "span dump '" << path << "': header says " << count
+  VC2M_CHECK_MSG(out.size() == *count,
+                 "span dump '" << path << "': header says " << *count
                                << " spans, found " << out.size());
   return out;
 }

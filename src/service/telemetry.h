@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/request_span.h"
@@ -31,36 +32,64 @@ namespace vc2m::service {
 inline constexpr const char* kTimelineSchema = "vc2m-metrics-timeline/1";
 inline constexpr const char* kSpanDumpSchema = "vc2m-span-dump/1";
 
+// The sample's scalar fields, listed once: X(type, member, payload key,
+// CSV column). The struct members, serialize(), parse_metrics_sample()
+// and the header and rows of `vc2m timeline --csv` are generated from
+// this table, in this order.
+//
+//  - index: 0-based sample number; served: decisions (journal records)
+//    so far; vt_ns: virtual time of the last decision.
+//  - queue_depth/retry_depth: the request queues at sampling time;
+//    est_ns_per_task: the EWMA solver-cost estimate.
+//  - arrivals .. commits: the outcome totals of docs/telemetry.md.
+//  - dbf_evals, budget_evals, admission_tests: the cumulative
+//    AllocCounters dbf_evaluations, budget_evaluations and
+//    admission_tests.
+#define VC2M_SAMPLE_FIELDS(X)                                           \
+  X(std::uint64_t, index, "sample", "sample")                           \
+  X(std::uint64_t, served, "served", "served")                          \
+  X(std::int64_t, vt_ns, "vt_ns", "vt_ns")                              \
+  X(std::uint64_t, queue_depth, "queue", "queue_depth")                 \
+  X(std::uint64_t, retry_depth, "retry", "retry_depth")                 \
+  X(std::int64_t, est_ns_per_task, "est", "est_ns_per_task")            \
+  X(std::uint64_t, arrivals, "arrivals", "arrivals")                    \
+  X(std::uint64_t, admitted, "admitted", "admitted")                    \
+  X(std::uint64_t, rejected, "rejected", "rejected")                    \
+  X(std::uint64_t, probe_rejected, "probe_rejected", "probe_rejected")  \
+  X(std::uint64_t, deferred, "deferred", "deferred")                    \
+  X(std::uint64_t, timed_out, "timed_out", "timed_out")                 \
+  X(std::uint64_t, shed, "shed", "shed")                                \
+  X(std::uint64_t, downgrades, "downgrades", "downgrades")              \
+  X(std::uint64_t, backpressure, "backpressure", "backpressure")        \
+  X(std::uint64_t, commits, "commits", "commits")                       \
+  X(std::uint64_t, dbf_evals, "dbf", "dbf_evals")                       \
+  X(std::uint64_t, budget_evals, "budget", "budget_evals")              \
+  X(std::uint64_t, admission_tests, "adm", "admission_tests")
+
+// The per-outcome-class latency histograms (µs), cumulative, after the
+// scalars: X(member, payload key). Classes: admitted = {admitted,
+// removed, resized}; rejected = {rejected, probe_rejected,
+// resize_rejected, not_present, timed_out}; deferred = arrival → defer
+// decision; shed = arrival → shed decision. The CSV shows each one's
+// count as "<key>_count".
+#define VC2M_SAMPLE_HISTOGRAMS(X) \
+  X(lat_admitted, "lat_admitted") \
+  X(lat_rejected, "lat_rejected") \
+  X(lat_deferred, "lat_deferred") \
+  X(lat_shed, "lat_shed")
+
 /// One timeline sample: the service's externally observable state after
 /// `served` decisions. Every counter is cumulative — including the
 /// AllocCounters trio — so any sample stands alone and recovery can resume
 /// sampling from a snapshot without reconstructing a delta baseline.
 /// Display layers (vc2m timeline --csv) derive deltas when they want them.
 struct MetricsSample {
-  std::uint64_t index = 0;   ///< 0-based sample number
-  std::uint64_t served = 0;  ///< decisions (journal records) so far
-  std::int64_t vt_ns = 0;    ///< virtual time of the last decision
-  std::uint64_t queue_depth = 0;
-  std::uint64_t retry_depth = 0;
-  std::int64_t est_ns_per_task = 0;  ///< EWMA solver-cost estimate
-  std::uint64_t arrivals = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t probe_rejected = 0;
-  std::uint64_t deferred = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t downgrades = 0;
-  std::uint64_t backpressure = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t dbf_evals = 0;        ///< cumulative dbf_evaluations
-  std::uint64_t budget_evals = 0;     ///< cumulative budget_evaluations
-  std::uint64_t admission_tests = 0;  ///< cumulative admission_tests
-  /// Per-outcome-class latency histograms (µs), cumulative. Classes:
-  /// admitted = {admitted, removed, resized}; rejected = {rejected,
-  /// probe_rejected, resize_rejected, not_present, timed_out}; deferred =
-  /// arrival → defer decision; shed = arrival → shed decision.
-  util::LogHistogram lat_admitted, lat_rejected, lat_deferred, lat_shed;
+#define VC2M_SAMPLE_MEMBER(type, member, key, column) type member = 0;
+  VC2M_SAMPLE_FIELDS(VC2M_SAMPLE_MEMBER)
+#undef VC2M_SAMPLE_MEMBER
+#define VC2M_SAMPLE_HISTOGRAM(member, key) util::LogHistogram member;
+  VC2M_SAMPLE_HISTOGRAMS(VC2M_SAMPLE_HISTOGRAM)
+#undef VC2M_SAMPLE_HISTOGRAM
 };
 
 /// Exact text round-trip of a histogram's internal state:
@@ -69,7 +98,7 @@ struct MetricsSample {
 /// timeline samples and the service snapshot.
 std::string serialize_histogram(const util::LogHistogram& h);
 /// Strict parse; throws util::Error on any malformed field.
-util::LogHistogram parse_histogram(const std::string& text);
+util::LogHistogram parse_histogram(std::string_view text);
 
 std::string serialize(const MetricsSample& s);
 /// Strict parse; throws util::Error on any malformed field.

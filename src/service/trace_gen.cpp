@@ -1,10 +1,10 @@
 #include "service/trace_gen.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 
 namespace vc2m::service {
@@ -14,20 +14,10 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 double parse_num(const std::string& key, const std::string& s) {
-  if (s.empty()) throw util::Error("trace spec: empty value for '" + key + "'");
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || !std::isfinite(v))
+  const auto v = util::parse_double(s);
+  if (!v)
     throw util::Error("trace spec: bad value '" + s + "' for '" + key + "'");
-  return v;
-}
-
-std::uint64_t parse_count(const std::string& key, const std::string& s) {
-  const double v = parse_num(key, s);
-  if (v < 0 || v != std::floor(v))
-    throw util::Error("trace spec: '" + key +
-                      "' must be a non-negative integer, got '" + s + "'");
-  return static_cast<std::uint64_t>(v);
+  return *v;
 }
 
 void parse_range(const std::string& key, const std::string& s, double& lo,
@@ -85,13 +75,16 @@ TraceConfig parse_trace_spec(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     if (key == "requests") {
-      cfg.requests = parse_count(key, val);
-      if (cfg.requests == 0)
-        throw util::Error("trace spec: requests must be >= 1");
+      const auto n = util::parse_u64(val);
+      if (!n)
+        throw util::Error("trace spec: 'requests' must be a non-negative "
+                          "integer, got '" + val + "'");
+      if (*n == 0) throw util::Error("trace spec: requests must be >= 1");
+      cfg.requests = *n;
     } else if (key == "interarrival-us") {
       const double us = parse_num(key, val);
-      if (us <= 0)
-        throw util::Error("trace spec: interarrival-us must be > 0");
+      if (!(us > 0 && us <= 1e12))
+        throw util::Error("trace spec: interarrival-us must be in (0, 1e12]");
       cfg.mean_interarrival = util::Time::ns(
           static_cast<std::int64_t>(us * 1000.0 + 0.5));
     } else if (key == "util") {

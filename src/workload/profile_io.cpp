@@ -50,13 +50,11 @@ model::WcetFn read_surface_csv(std::istream& is,
       ctx.fail("expected 3 fields (c,b,wcet_ms), got " +
                std::to_string(fields.size()));
 
-    const auto c =
-        static_cast<unsigned>(detail::parse_unsigned(ctx, fields[0], "c"));
-    const auto b =
-        static_cast<unsigned>(detail::parse_unsigned(ctx, fields[1], "b"));
-    const double wcet_ms = detail::parse_double(ctx, fields[2], "wcet_ms");
+    const auto c = detail::parse_field<unsigned>(ctx, fields[0], "c");
+    const auto b = detail::parse_field<unsigned>(ctx, fields[1], "b");
+    const auto wcet_ms = detail::parse_field<double>(ctx, fields[2], "wcet_ms");
     if (!grid.contains(c, b)) ctx.fail("surface point outside the grid");
-    if (wcet_ms <= 0) ctx.fail("non-positive WCET");
+    if (wcet_ms <= 0 || wcet_ms > 1e9) ctx.fail("WCET outside (0, 1e9] ms");
     const std::size_t idx = grid.index(c, b);
     if (seen[idx])
       ctx.fail("duplicate surface point (first at line " +

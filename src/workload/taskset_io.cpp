@@ -49,14 +49,17 @@ model::Taskset read_taskset_csv(std::istream& is,
       ctx.fail("expected 4 fields (vm,period_ms,ref_wcet_ms,benchmark), got " +
                std::to_string(fields.size()));
 
-    const auto vm = detail::parse_int(ctx, fields[0], "vm");
-    const double period_ms = detail::parse_double(ctx, fields[1], "period_ms");
-    const double wcet_ms = detail::parse_double(ctx, fields[2], "ref_wcet_ms");
+    const auto vm = detail::parse_field<int>(ctx, fields[0], "vm");
+    const auto period_ms =
+        detail::parse_field<double>(ctx, fields[1], "period_ms");
+    const auto wcet_ms =
+        detail::parse_field<double>(ctx, fields[2], "ref_wcet_ms");
     const std::string& bench = fields[3];
     if (vm < 0) ctx.fail("negative vm id");
-    if (period_ms <= 0 || wcet_ms <= 0 || wcet_ms > period_ms)
+    if (period_ms <= 0 || wcet_ms <= 0 || wcet_ms > period_ms ||
+        period_ms > 1e9)
       ctx.fail("implausible task parameters (need 0 < ref_wcet_ms <= "
-               "period_ms)");
+               "period_ms <= 1e9)");
     if (bench.empty()) ctx.fail("empty benchmark field");
     if (!seen_rows.insert(line).second) ctx.fail("duplicate task row");
 
@@ -68,7 +71,7 @@ model::Taskset read_taskset_csv(std::istream& is,
       ctx.fail(e.what());
     }
     model::Task t;
-    t.vm = static_cast<int>(vm);
+    t.vm = vm;
     t.period = util::Time::ns(static_cast<std::int64_t>(period_ms * 1e6));
     const auto ref =
         util::Time::ns(static_cast<std::int64_t>(wcet_ms * 1e6 + 0.5));

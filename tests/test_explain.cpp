@@ -22,6 +22,7 @@
 #include "model/platform.h"
 #include "obs/decision_log.h"
 #include "obs/explain.h"
+#include "reader_checks.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -261,6 +262,62 @@ TEST(Explain, ReaderRejectsForeignSchemaAndUnknownNames) {
                       "core": -1, "cache": -1, "bw": -1,
                       "value": 0, "margin": 0}]})");
   EXPECT_THROW((void)obs::read_explain_report(bad_kind), util::Error);
+}
+
+/// A report with one of everything the writer emits.
+obs::ExplainReport full_explain_report() {
+  obs::ExplainReport r;
+  r.strategy = "flat";
+  r.git_rev = "rev";
+  r.config["tasks"] = "3";
+  r.schedulable = true;
+  r.cores_used = 1;
+  r.headroom.cores.push_back({0, 4, 3, 2, 0.75, 0.25, 1, 1});
+  r.headroom.spare_cache = 5;
+  r.headroom.spare_bw = 6;
+  r.rejections.push_back(
+      {2, obs::DecisionConstraint::kCoreOverUtilized, 0.5, "detail"});
+  obs::DecisionEvent e;
+  e.kind = obs::DecisionKind::kBinPack;
+  e.vm = 1;
+  e.entity = 2;
+  e.core = 3;
+  e.cache = 4;
+  e.bw = 5;
+  r.events.push_back(e);
+  r.events_dropped = 7;
+  return r;
+}
+
+TEST(Explain, ReaderRangeChecksEveryIntegerField) {
+  // An unsigned or int32 field must reject what a cast would wrap (-1),
+  // truncate (0.5) or leave undefined (1e30, one past the type).
+  std::ostringstream doc;
+  obs::write_explain_report(doc, full_explain_report());
+  constexpr const char* kPastUnsigned = "4294967296";
+  constexpr const char* kPastInt = "2147483648";
+  codec_test::expect_int_fields_checked(
+      doc.str(),
+      {{"", "cores_used", kPastUnsigned},
+       {"", "spare_cache", kPastUnsigned},
+       {"", "spare_bw", kPastUnsigned},
+       {"\"cores\": [", "core", kPastUnsigned},
+       {"\"cores\": [", "cache", kPastUnsigned},
+       {"\"cores\": [", "bw", kPastUnsigned},
+       {"\"cores\": [", "vcpus"},
+       {"\"cores\": [", "reclaimable_cache", kPastUnsigned},
+       {"\"cores\": [", "reclaimable_bw", kPastUnsigned},
+       {"\"rejections\": [", "vm", kPastInt, true},
+       {"", "events_dropped"},
+       {"\"events\": [", "vm", kPastInt, true},
+       {"\"events\": [", "entity", kPastInt, true},
+       {"\"events\": [", "core", kPastInt, true},
+       {"\"events\": [", "cache", kPastInt, true},
+       {"\"events\": [", "bw", kPastInt, true}},
+      [](const std::string& text) {
+        std::istringstream in(text);
+        (void)obs::read_explain_report(in);
+      });
 }
 
 }  // namespace

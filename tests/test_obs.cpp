@@ -17,6 +17,7 @@
 #include "sim/simulation.h"
 #include "util/error.h"
 #include "util/log_histogram.h"
+#include "reader_checks.h"
 
 namespace vc2m::obs {
 namespace {
@@ -204,6 +205,27 @@ TEST(TraceExport, CsvRejectsGarbage) {
   EXPECT_THROW(read_trace_csv(ss), util::Error);
   std::stringstream js("{\"traceEvents\": []}\n");
   EXPECT_THROW(read_chrome_trace(js), util::Error);
+}
+
+TEST(TraceExport, CsvRejectsBadNumbersWithTheLineNumber) {
+  // Every numeric cell uses its whole token at its column's type, and the
+  // error names the line.
+  for (const char* row : {"5x,job-release,0,0,0,0", "5,job-release,0y,0,0,0",
+                          "abc,job-release,0,0,0,0",
+                          "5,job-release,0,0,99999999999,0",
+                          "5,job-release,0,0,-,0", " 5,job-release,0,0,0,0"}) {
+    std::stringstream ss(std::string("time_ns,kind,core,vcpu,task,job\n"
+                                     "0,job-release,0,0,0,0\n") +
+                         row + "\n");
+    try {
+      (void)read_trace_csv(ss);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("trace CSV line 3"),
+                std::string::npos)
+          << row << ": " << e.what();
+    }
+  }
 }
 
 TEST(TraceKindStrings, RoundTrip) {
@@ -794,6 +816,25 @@ TEST(BenchReport, ReaderRejectsNonFiniteNumbersWithFilePosition) {
           << bad << ": " << what;
     }
   }
+}
+
+TEST(BenchReport, ReaderRangeChecksEveryIntegerField) {
+  // perfdiff must not sum a "count": -1 or a "max_queue": 1e300 cast to
+  // uint64_t (total_executed 18446744073709551616).
+  std::stringstream ss;
+  write_bench_report(ss, sample_report());
+  codec_test::expect_int_fields_checked(
+      ss.str(),
+      {{"\"phases\"", "count"},
+       {"\"hv_alloc\"", "count"},
+       {"\"histograms\"", "count"},
+       {"\"pool\"", "executed"},
+       {"\"pool\"", "steals"},
+       {"\"pool\"", "max_queue"}},
+      [](const std::string& text) {
+        std::stringstream in(text);
+        (void)read_bench_report(in);
+      });
 }
 
 TEST(BenchReport, SummarisesLogHistogramQuantiles) {

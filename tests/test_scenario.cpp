@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "golden_util.h"
+#include "reader_checks.h"
 #include "obs/trace_export.h"
 #include "scenario/digest.h"
 #include "scenario/report.h"
@@ -479,6 +480,48 @@ TEST(ScenarioReport, ReaderRejectsForeignSchemaAndUnknownKeys) {
           "shard_index": 0, "shard_count": 1, "total": 0, "passed": 0,
           "failed": 0, "surprise": 1, "records": []})");
   EXPECT_THROW((void)scenario::read_scenario_report(extra), util::Error);
+}
+
+TEST(ScenarioReport, ReaderRangeChecksEveryIntegerField) {
+  // Shard fields are ints and metric counts uint64_t; values past either
+  // must fail, not wrap ("count": 4294967297 would read as 1).
+  scenario::ScenarioReport r;
+  r.git_rev = "rev";
+  r.corpus = "c";
+  r.shard_index = 1;
+  r.shard_count = 3;
+  scenario::ScenarioRecord rec;
+  rec.name = "a";
+  rec.schedulable = true;
+  rec.passed = true;
+  rec.simulated = true;
+  rec.jobs_released = 9;
+  r.records.push_back(rec);
+  constexpr const char* kPastInt = "2147483648";
+  codec_test::expect_int_fields_checked(
+      serialized(r),
+      {{"\"shard\"", "index", kPastInt},
+       {"\"shard\"", "count", kPastInt},
+       {"", "total"},
+       {"", "passed"},
+       {"", "failed"},
+       {"\"metrics\"", "jobs_released"},
+       {"\"metrics\"", "jobs_completed"},
+       {"\"metrics\"", "deadline_misses"},
+       {"\"metrics\"", "faults_injected"},
+       {"\"metrics\"", "jobs_killed"},
+       {"\"metrics\"", "jobs_deferred"},
+       {"\"metrics\"", "trace_events"},
+       {"\"metrics\"", "trace_violations"}},
+      [](const std::string& text) {
+        std::istringstream in(text);
+        (void)scenario::read_scenario_report(in);
+      });
+  // A shard count past INT_MAX must not wrap into range.
+  std::string wrapped = serialized(r);
+  wrapped.replace(wrapped.find("\"count\": 3"), 11, "\"count\": 4294967297");
+  std::istringstream in(wrapped);
+  EXPECT_THROW((void)scenario::read_scenario_report(in), util::Error);
 }
 
 TEST(ScenarioReport, UnknownFieldInAValidReportIsSurfacedNotRejected) {

@@ -16,6 +16,7 @@
 #include "service/service.h"
 #include "service/trace_gen.h"
 #include "util/error.h"
+#include "reader_checks.h"
 
 namespace vc2m::service {
 namespace {
@@ -81,6 +82,18 @@ TEST(TraceGen, PatternsAndSpecErrors) {
   EXPECT_THROW(parse_trace_spec("poisson:requests=x"), util::Error);
   EXPECT_THROW(parse_trace_spec("poisson:util=0.5"), util::Error);
   EXPECT_THROW(parse_trace_spec("poisson:requests=0"), util::Error);
+}
+
+TEST(TraceGen, CountsAndTimesRejectValuesPastTheirType) {
+  // A count is a plain uint64_t: no exponent form, no value past 2^64 - 1.
+  for (const char* bad :
+       {"poisson:requests=1e30", "poisson:requests=-1",
+        "poisson:requests=2.5", "poisson:requests= 5",
+        "poisson:requests=18446744073709551616",
+        "poisson:interarrival-us=1e300", "poisson:util=0.1..nan"})
+    EXPECT_THROW(parse_trace_spec(bad), util::Error) << bad;
+  EXPECT_EQ(parse_trace_spec("poisson:requests=18446744073709551615").requests,
+            18446744073709551615ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +235,12 @@ TEST(CrashSpec, ParseAndErrors) {
   EXPECT_THROW(parse_crash_spec("before-append"), util::Error);
   EXPECT_THROW(parse_crash_spec("sideways:3"), util::Error);
   EXPECT_THROW(parse_crash_spec("mid-snapshot:x"), util::Error);
+  // " -1" must not wrap to 2^64 - 1, a crash point that never fires.
+  for (const char* bad :
+       {"before-append: -1", "before-append:-1", "before-append: 5",
+        "before-append:+5", "after-append:18446744073709551616",
+        "mid-snapshot:", "mid-snapshot:5 "})
+    EXPECT_THROW(parse_crash_spec(bad), util::Error) << bad;
 }
 
 // ---------------------------------------------------------------------------
@@ -420,6 +439,51 @@ TEST(ServeReport, RoundTripAndStrictness) {
   EXPECT_THROW(read_serve_report(garbage), util::Error);
   std::istringstream not_json("not json");
   EXPECT_THROW(read_serve_report(not_json), util::Error);
+}
+
+TEST(ServeReport, ReaderRangeChecksEveryIntegerField) {
+  // Counts must stay below 2^64 and the int64 config echoes below 2^63.
+  const std::string text = report_text(run_service(small_config()).report);
+  constexpr const char* kPastInt64 = "9223372036854775808";
+  codec_test::expect_int_fields_checked(
+      text,
+      {{"", "seed"},
+       {"\"config\"", "deadline_us", kPastInt64},
+       {"\"config\"", "queue_cap"},
+       {"\"config\"", "max_retries"},
+       {"\"config\"", "backoff_us", kPastInt64},
+       {"\"config\"", "snapshot_every"},
+       {"\"totals\"", "requests"},
+       {"\"totals\"", "arrivals"},
+       {"\"totals\"", "admitted"},
+       {"\"totals\"", "rejected"},
+       {"\"totals\"", "probe_rejected"},
+       {"\"totals\"", "removed"},
+       {"\"totals\"", "resized"},
+       {"\"totals\"", "resize_rejected"},
+       {"\"totals\"", "not_present"},
+       {"\"totals\"", "deferred"},
+       {"\"totals\"", "retries"},
+       {"\"totals\"", "shed"},
+       {"\"totals\"", "timed_out"},
+       {"\"totals\"", "downgrades"},
+       {"\"totals\"", "commits"},
+       {"\"totals\"", "snapshots"},
+       {"\"queue\"", "max_depth"},
+       {"\"queue\"", "backpressure"},
+       {"\"decisions\"", "events"},
+       {"\"decisions\"", "dropped"},
+       {"\"admitted\": {", "count"},
+       {"\"rejected\": {", "count"},
+       {"\"deferred\": {", "count"},
+       {"\"shed\": {", "count"},
+       {"\"state\"", "vms"},
+       {"\"state\"", "vcpus"},
+       {"\"state\"", "cores_used"}},
+      [](const std::string& doc) {
+        std::istringstream in(doc);
+        (void)read_serve_report(in);
+      });
 }
 
 }  // namespace

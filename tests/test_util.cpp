@@ -10,7 +10,9 @@
 #include "util/error.h"
 #include "util/hash.h"
 #include "util/log_histogram.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
+#include "util/record.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -450,6 +452,62 @@ TEST(Fnv1a, U64StepHashesLittleEndianBytes) {
   const std::uint64_t v = 0x0807060504030201ull;
   const char bytes[] = {1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_EQ(fnv1a_u64(kFnvOffset, v), fnv1a({bytes, sizeof bytes}));
+}
+
+// ------------------------------------------------------------ parsing ---
+
+TEST(Parse, IntegersUseTheWholeTokenAndStayInRange) {
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_i64("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parse_int<int>("-7"), -7);
+  EXPECT_EQ(parse_int<std::uint64_t>("00ff", 16), 255u);
+  for (const char* bad : {"", " 5", "5 ", "+5", "-1", "5x", "0x10", "1e3",
+                          "2.5", "18446744073709551616", "-0"})
+    EXPECT_FALSE(parse_u64(bad)) << "'" << bad << "'";
+  for (const char* bad : {"2147483648", "-2147483649", " -1", "--1"})
+    EXPECT_FALSE(parse_int<int>(bad)) << "'" << bad << "'";
+  EXPECT_FALSE(parse_int<unsigned>("4294967296"));
+}
+
+TEST(Parse, DoublesAreFiniteAndWhole) {
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double("-1e-3"), -1e-3);
+  EXPECT_EQ(parse_double("7"), 7.0);
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", " 1", "1 ",
+                          "1.5x", "0x1p3", "+1"})
+    EXPECT_FALSE(parse_double(bad)) << "'" << bad << "'";
+  EXPECT_EQ(parse_number<double>("1.5"), 1.5);
+  EXPECT_EQ(parse_number<unsigned>("15"), 15u);
+}
+
+TEST(RecordReader, ReadsKeysInOrderAndRejectsAnyDrift) {
+  RecordReader in("seq=4|name=x|vm=-2|empty=", '|', "rec");
+  EXPECT_EQ(in.next_int<std::uint64_t>("seq"), 4u);
+  EXPECT_EQ(in.next("name"), "x");
+  EXPECT_EQ(in.next_int<int>("vm"), -2);
+  EXPECT_EQ(in.next("empty"), "");
+  EXPECT_NO_THROW(in.finish());
+
+  const auto fails = [](const std::string& payload) {
+    try {
+      RecordReader r(payload, '|', "rec");
+      (void)r.next_int<unsigned>("a");
+      (void)r.next("b");
+      r.finish();
+    } catch (const Error& e) {
+      return std::string(e.what()).rfind("rec: ", 0) == 0;
+    }
+    return false;
+  };
+  EXPECT_FALSE(fails("a=1|b=2"));
+  EXPECT_TRUE(fails("a=1"));              // too few fields
+  EXPECT_TRUE(fails("a=1|b=2|c=3"));      // too many
+  EXPECT_TRUE(fails("b=2|a=1"));          // out of order
+  EXPECT_TRUE(fails("ab=1|b=2"));         // key prefix is not the key
+  EXPECT_TRUE(fails("a=-1|b=2"));         // sign on an unsigned field
+  EXPECT_TRUE(fails("a=4294967296|b=2"));  // past the field's type
+  EXPECT_TRUE(fails("a= 1|b=2"));
+  EXPECT_TRUE(fails(""));
 }
 
 }  // namespace

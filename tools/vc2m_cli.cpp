@@ -126,15 +126,11 @@
 // from the profile's slowdown vectors scaled to the given reference WCET.
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -163,6 +159,7 @@
 #include "model/platform.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -219,7 +216,7 @@ struct Args {
   std::int64_t deadline_us = 0;        ///< per-request budget; 0 = off
   std::string shed_policy = "reject-newest";
   std::uint64_t queue_cap = 64;
-  std::uint64_t max_retries = 3;
+  unsigned max_retries = 3;
   std::int64_t backoff_us = 10000;
   std::string crash_at;                ///< injected crash point spec
   // serve telemetry (docs/telemetry.md) + the timeline subcommand
@@ -284,54 +281,6 @@ struct Args {
   std::exit(code);
 }
 
-/// Strict numeric flag parsing. The predecessors of these helpers were bare
-/// std::stoi/std::stod calls: `--vms x` aborted with an uncaught
-/// std::invalid_argument, and `--util 1.5x` silently parsed the prefix. A
-/// flag value must now consume the whole token or the process prints
-/// "<flag>: bad value '<token>'" and exits 2 (the usage exit code).
-[[noreturn]] void bad_value(const std::string& flag, const std::string& s) {
-  std::cerr << flag << ": bad value '" << s << "'\n";
-  std::exit(2);
-}
-
-std::int64_t i64_flag(const std::string& flag, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno != 0)
-    bad_value(flag, s);
-  return v;
-}
-
-int int_flag(const std::string& flag, const std::string& s) {
-  const std::int64_t v = i64_flag(flag, s);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max())
-    bad_value(flag, s);
-  return static_cast<int>(v);
-}
-
-std::uint64_t u64_flag(const std::string& flag, const std::string& s) {
-  // strtoull accepts "-1" (wrapping it); reject any sign explicitly.
-  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-    bad_value(flag, s);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno != 0) bad_value(flag, s);
-  return v;
-}
-
-double double_flag(const std::string& flag, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno != 0 ||
-      !std::isfinite(v))
-    bad_value(flag, s);
-  return v;
-}
-
 Args parse(int argc, char** argv) {
   if (argc < 2) usage(2);
   Args a;
@@ -342,24 +291,28 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
+    // A numeric flag, parsed at its field's type.
+    auto num = [&]<class T>(T& field) {
+      field = util::flag_value<T>(arg, next());
+    };
     if (arg == "--file") a.file = next();
     else if (arg == "--trace") a.trace = next();
     else if (arg == "--report") a.report = true;
     else if (arg == "--platform") a.platform = next();
     else if (arg == "--solution") a.solution = next();
     else if (arg == "--dist") a.dist = next();
-    else if (arg == "--util") a.util = double_flag(arg, next());
-    else if (arg == "--vms") a.vms = int_flag(arg, next());
-    else if (arg == "--seed") a.seed = u64_flag(arg, next());
-    else if (arg == "--tasksets") a.tasksets = int_flag(arg, next());
-    else if (arg == "--step") a.step = double_flag(arg, next());
-    else if (arg == "--util-lo") a.util_lo = double_flag(arg, next());
-    else if (arg == "--util-hi") a.util_hi = double_flag(arg, next());
-    else if (arg == "--jobs") a.jobs = int_flag(arg, next());
-    else if (arg == "--inner-jobs") a.inner_jobs = int_flag(arg, next());
+    else if (arg == "--util") num(a.util);
+    else if (arg == "--vms") num(a.vms);
+    else if (arg == "--seed") num(a.seed);
+    else if (arg == "--tasksets") num(a.tasksets);
+    else if (arg == "--step") num(a.step);
+    else if (arg == "--util-lo") num(a.util_lo);
+    else if (arg == "--util-hi") num(a.util_hi);
+    else if (arg == "--jobs") num(a.jobs);
+    else if (arg == "--inner-jobs") num(a.inner_jobs);
     else if (arg == "--faults") a.faults = next();
     else if (arg == "--policy") a.policy = next();
-    else if (arg == "--fault-horizon") a.fault_horizon = int_flag(arg, next());
+    else if (arg == "--fault-horizon") num(a.fault_horizon);
     else if (arg == "--solutions") a.solutions = next();
     else if (arg == "--profile") a.profile = true;
     else if (arg == "--pool-trace") a.pool_trace = next();
@@ -372,17 +325,17 @@ Args parse(int argc, char** argv) {
     else if (arg == "--checkpoint") a.checkpoint = next();
     else if (arg == "--journal") a.journal = next();
     else if (arg == "--recover") a.recover = true;
-    else if (arg == "--snapshot-every") a.snapshot_every = u64_flag(arg, next());
-    else if (arg == "--deadline-us") a.deadline_us = i64_flag(arg, next());
+    else if (arg == "--snapshot-every") num(a.snapshot_every);
+    else if (arg == "--deadline-us") num(a.deadline_us);
     else if (arg == "--shed-policy") a.shed_policy = next();
-    else if (arg == "--queue-cap") a.queue_cap = u64_flag(arg, next());
-    else if (arg == "--max-retries") a.max_retries = u64_flag(arg, next());
-    else if (arg == "--backoff-us") a.backoff_us = i64_flag(arg, next());
+    else if (arg == "--queue-cap") num(a.queue_cap);
+    else if (arg == "--max-retries") num(a.max_retries);
+    else if (arg == "--backoff-us") num(a.backoff_us);
     else if (arg == "--crash-at") a.crash_at = next();
     else if (arg == "--timeline") a.timeline = next();
-    else if (arg == "--sample-every") a.sample_every = u64_flag(arg, next());
-    else if (arg == "--stats-every") a.stats_every = u64_flag(arg, next());
-    else if (arg == "--span-ring") a.span_ring = u64_flag(arg, next());
+    else if (arg == "--sample-every") num(a.sample_every);
+    else if (arg == "--stats-every") num(a.stats_every);
+    else if (arg == "--span-ring") num(a.span_ring);
     else if (arg == "--span-trace") a.span_trace = next();
     else if (arg == "--diff") a.diff = next();
     else if (arg == "--csv") a.csv = true;
@@ -395,23 +348,13 @@ Args parse(int argc, char** argv) {
 /// Parse a perfdiff threshold: "10%" means 10 percent, a bare number is a
 /// fraction ("0.1" == "10%").
 double regress_of(const std::string& s) {
-  std::string num = s;
-  double scale = 1.0;
-  if (!num.empty() && num.back() == '%') {
-    num.pop_back();
-    scale = 0.01;
-  }
-  std::size_t used = 0;
-  double v = 0;
-  try {
-    v = std::stod(num, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (num.empty() || used != num.size() || v < 0)
+  const bool percent = !s.empty() && s.back() == '%';
+  const auto v = util::parse_double(
+      std::string_view(s).substr(0, s.size() - (percent ? 1 : 0)));
+  if (!v || *v < 0)
     throw util::Error("--max-regress: bad threshold '" + s +
                       "' (want e.g. 10% or 0.1)");
-  return v * scale;
+  return *v * (percent ? 0.01 : 1.0);
 }
 
 model::PlatformSpec platform_of(const std::string& name) {
@@ -789,7 +732,7 @@ int cmd_perfdiff(const Args& a) {
     // Raising the floor lets wall-clock gates ignore micro-phases
     // (sub-millisecond bookkeeping spans) whose run-to-run jitter exceeds
     // any sane relative threshold.
-    opt.min_abs_sec = double_flag("--min-abs-sec", a.min_abs_sec.c_str());
+    opt.min_abs_sec = util::flag_value<double>("--min-abs-sec", a.min_abs_sec);
     if (opt.min_abs_sec < 0)
       throw util::Error("--min-abs-sec must be >= 0");
   }
@@ -812,24 +755,15 @@ int cmd_perfdiff(const Args& a) {
 std::pair<int, int> shard_of(const std::string& s) {
   if (s.empty()) return {0, 1};
   const auto slash = s.find('/');
-  bool ok = slash != std::string::npos;
-  long index = -1, count = 0;
-  if (ok) {
-    const std::string is = s.substr(0, slash), ms = s.substr(slash + 1);
-    char* end = nullptr;
-    errno = 0;
-    index = std::strtol(is.c_str(), &end, 10);
-    ok = !is.empty() && end == is.c_str() + is.size() && errno == 0;
-    if (ok) {
-      errno = 0;
-      count = std::strtol(ms.c_str(), &end, 10);
-      ok = !ms.empty() && end == ms.c_str() + ms.size() && errno == 0;
-    }
-  }
-  if (!ok || count < 1 || index < 0 || index >= count)
+  const std::string_view v(s);
+  const auto index = util::parse_int<int>(v.substr(0, slash));
+  const auto count = slash == std::string::npos
+                         ? std::nullopt
+                         : util::parse_int<int>(v.substr(slash + 1));
+  if (!index || !count || *count < 1 || *index < 0 || *index >= *count)
     throw util::Error("--shard: want INDEX/COUNT with 0 <= INDEX < COUNT, "
                       "got '" + s + "'");
-  return {static_cast<int>(index), static_cast<int>(count)};
+  return {*index, *count};
 }
 
 /// SIGINT/SIGTERM land here; the service and scenario runner poll the flag
@@ -878,15 +812,19 @@ int cmd_serve(const Args& a) {
   cfg.vm_cfg.inner_jobs = 0;
   cfg.trace = service::parse_trace_spec(a.trace);
   cfg.seed = a.seed;
-  if (a.deadline_us < 0) throw util::Error("--deadline-us must be >= 0");
+  // Both are held in ns: past kMaxUs the µs -> ns scaling overflows.
+  constexpr std::int64_t kMaxUs = INT64_MAX / 1000;
+  if (a.deadline_us < 0 || a.deadline_us > kMaxUs)
+    throw util::Error("--deadline-us must be in 0.." + std::to_string(kMaxUs));
   cfg.deadline = util::Time::us(a.deadline_us);
   if (!service::shed_policy_from_string(a.shed_policy, cfg.shed))
     throw util::Error("unknown shed policy '" + a.shed_policy +
                       "' (reject-newest|reject-largest|criticality)");
   if (a.queue_cap < 1) throw util::Error("--queue-cap must be >= 1");
   cfg.queue_cap = static_cast<std::size_t>(a.queue_cap);
-  cfg.max_retries = static_cast<unsigned>(a.max_retries);
-  if (a.backoff_us < 0) throw util::Error("--backoff-us must be >= 0");
+  cfg.max_retries = a.max_retries;
+  if (a.backoff_us < 0 || a.backoff_us > kMaxUs)
+    throw util::Error("--backoff-us must be in 0.." + std::to_string(kMaxUs));
   cfg.backoff = util::Time::us(a.backoff_us);
   cfg.snapshot_every = a.snapshot_every;
   cfg.journal_path = a.journal;
@@ -1193,27 +1131,26 @@ int cmd_timeline(const Args& a) {
   }
 
   if (a.csv) {
-    std::cout << "file,sample,served,vt_ns,queue_depth,retry_depth,"
-                 "est_ns_per_task,arrivals,admitted,rejected,probe_rejected,"
-                 "deferred,timed_out,shed,downgrades,backpressure,commits,"
-                 "dbf_evals,budget_evals,admission_tests,"
-                 "lat_admitted_count,lat_rejected_count,lat_deferred_count,"
-                 "lat_shed_count\n";
+    std::cout << "file";
+#define VC2M_CSV_COLUMN(type, member, key, column) std::cout << "," column;
+    VC2M_SAMPLE_FIELDS(VC2M_CSV_COLUMN)
+#undef VC2M_CSV_COLUMN
+#define VC2M_CSV_COUNT_COLUMN(member, key) std::cout << "," key "_count";
+    VC2M_SAMPLE_HISTOGRAMS(VC2M_CSV_COUNT_COLUMN)
+#undef VC2M_CSV_COUNT_COLUMN
+    std::cout << '\n';
     for (const auto& path : a.positional) {
       const auto s = scan_timeline_or_die(path);
-      for (const auto& ms : s.samples)
-        std::cout << path << ',' << ms.index << ',' << ms.served << ','
-                  << ms.vt_ns << ',' << ms.queue_depth << ','
-                  << ms.retry_depth << ',' << ms.est_ns_per_task << ','
-                  << ms.arrivals << ',' << ms.admitted << ',' << ms.rejected
-                  << ',' << ms.probe_rejected << ',' << ms.deferred << ','
-                  << ms.timed_out << ',' << ms.shed << ',' << ms.downgrades
-                  << ',' << ms.backpressure << ',' << ms.commits << ','
-                  << ms.dbf_evals << ',' << ms.budget_evals << ','
-                  << ms.admission_tests << ',' << ms.lat_admitted.count()
-                  << ',' << ms.lat_rejected.count() << ','
-                  << ms.lat_deferred.count() << ',' << ms.lat_shed.count()
-                  << '\n';
+      for (const auto& ms : s.samples) {
+        std::cout << path;
+#define VC2M_CSV_CELL(type, member, key, column) std::cout << ',' << ms.member;
+        VC2M_SAMPLE_FIELDS(VC2M_CSV_CELL)
+#undef VC2M_CSV_CELL
+#define VC2M_CSV_COUNT(member, key) std::cout << ',' << ms.member.count();
+        VC2M_SAMPLE_HISTOGRAMS(VC2M_CSV_COUNT)
+#undef VC2M_CSV_COUNT
+        std::cout << '\n';
+      }
     }
     return 0;
   }

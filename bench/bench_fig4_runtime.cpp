@@ -5,8 +5,8 @@
 // utilization. The paper's observations to reproduce: the overhead-free
 // analyses stay fast and flat (< 3 s there, far less here), while the
 // existing-CSA variants are orders of magnitude slower and grow with
-// utilization (they binary-search a PRM budget at every (c,b) grid point
-// for every VCPU).
+// utilization (they compute a PRM budget at every (c,b) grid point for
+// every VCPU).
 #include <iostream>
 
 #include "bench_common.h"

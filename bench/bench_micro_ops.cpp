@@ -21,6 +21,7 @@
 #include "analysis/theorems.h"
 #include "core/kmeans.h"
 #include "core/solutions.h"
+#include "core/vm_alloc.h"
 #include "model/platform.h"
 #include "obs/bench_report.h"
 #include "util/instrument.h"
@@ -109,7 +110,7 @@ BENCHMARK(BM_PrmMinBudget)->Arg(2)->Arg(8)->Arg(24);
 void BM_PrmMinBudgetOnCurve(benchmark::State& state) {
   // The fast-path equivalent of BM_PrmMinBudget: checkpoints and demand
   // precomputed once (as the checkpoint cache + Θ-independent demand sweep
-  // make them per cell), leaving only the sbf binary search per call.
+  // make them per cell), leaving only the one-pass sbf walk per call.
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= static_cast<int>(state.range(0)); ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(3 * i)});
@@ -129,14 +130,54 @@ void BM_PrmMinBudgetOnCurve(benchmark::State& state) {
 BENCHMARK(BM_PrmMinBudgetOnCurve)->Arg(2)->Arg(8)->Arg(24);
 
 void BM_RegulatedVcpu(benchmark::State& state) {
-  // One overhead-free (Theorem 2) VCPU computation over the FULL grid.
-  const auto tasks = make_taskset(1.0, 11);
+  // One overhead-free (Theorem 2) VCPU computation over the FULL grid, at
+  // reference utilization Arg/100.
+  const auto tasks = make_taskset(static_cast<double>(state.range(0)) / 100, 11);
   std::vector<std::size_t> idx(tasks.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   for (auto _ : state)
     benchmark::DoNotOptimize(analysis::regulated_vcpu(tasks, idx));
 }
-BENCHMARK(BM_RegulatedVcpu);
+BENCHMARK(BM_RegulatedVcpu)->Arg(100)->Arg(50);
+
+// One existing-CSA VCPU surface over the FULL grid, on the tasks of
+// BM_RegulatedVcpu/50 (at utilization 1.0 most cells are over-utilized and
+// end before any search). `dbf_evals` is the dbf evaluations per surface.
+// The reference form runs min_budget_edf per cell (the paper's analysis: a
+// bisection whose every probe re-derives demand); the production form is
+// core::vcpu_existing_csa.
+void BM_ExistingCsaVcpuReference(benchmark::State& state) {
+  const auto tasks = make_taskset(0.5, 11);
+  const auto& grid = tasks.front().wcet.grid();
+  Time pi = tasks.front().period;
+  for (const auto& t : tasks) pi = util::min(pi, t.period);
+  std::vector<analysis::PTask> cell(tasks.size());
+  util::AllocCounterScope scope;
+  for (auto _ : state)
+    for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
+      for (unsigned b = grid.b_min; b <= grid.b_max; ++b) {
+        for (std::size_t i = 0; i < tasks.size(); ++i)
+          cell[i] = {tasks[i].period, tasks[i].wcet.at(c, b)};
+        benchmark::DoNotOptimize(analysis::min_budget_edf(cell, pi));
+      }
+  state.counters["dbf_evals"] =
+      static_cast<double>(scope.counters().dbf_evaluations) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ExistingCsaVcpuReference)->Unit(benchmark::kMillisecond);
+
+void BM_ExistingCsaVcpu(benchmark::State& state) {
+  const auto tasks = make_taskset(0.5, 11);
+  std::vector<std::size_t> idx(tasks.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  util::AllocCounterScope scope;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::vcpu_existing_csa(tasks, idx));
+  state.counters["dbf_evals"] =
+      static_cast<double>(scope.counters().dbf_evaluations) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ExistingCsaVcpu)->Unit(benchmark::kMillisecond);
 
 void BM_KMeansSlowdownVectors(benchmark::State& state) {
   const auto tasks = make_taskset(2.0, 12);

@@ -12,7 +12,8 @@
 # undefined build and run everything; thread builds only the parallel test
 # binaries and runs the thread-pool/experiment/fault-validator/scenario-
 # matrix suites, the shared PARSEC suite tables (first touch from eight
-# threads) plus the admission-service suite (the rest of the test
+# threads), the min-budget batch oracles (striped over a pool) plus the
+# admission-service suite (the rest of the test
 # suite is single-threaded, and TSan's ~10x slowdown buys nothing there).
 # The scenario-matrix suite matters for TSan specifically: it drives
 # run_matrix with checkpointing at --jobs 2+, where worker-thread slot
@@ -445,9 +446,12 @@ for san in "${sanitizers[@]}"; do
   build_args=()
   ctest_args=(--output-on-failure -j "$(nproc)")
   if [ "$san" = thread ]; then
+    # test_analysis: striped min-budget batches read the shared checkpoint
+    # step lists from pool workers (AnalysisContextOracle); Prm holds the
+    # one-pass search oracles those batches run.
     build_args=(--target test_parallel test_faults test_scenario test_service
-                test_telemetry test_golden test_workload)
-    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SuiteTables)')
+                test_telemetry test_golden test_workload test_analysis)
+    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SuiteTables|AnalysisContextOracle|Prm)')
   fi
   # GCC's `undefined` group leaves out float-cast-overflow, which is what
   # an unchecked double -> integer cast in a reader trips; name it too.

@@ -33,30 +33,77 @@ void AnalysisContext::emit_budget_search(
   log->emit(e);
 }
 
-const AnalysisContext::CheckpointEntry& AnalysisContext::checkpoints_for(
-    std::span<const PTask> tasks, util::Time period) {
-  std::vector<std::int64_t> key;
-  key.reserve(tasks.size() + 1);
-  key.push_back(period.raw_ns());
-  for (const auto& t : tasks) key.push_back(t.period.raw_ns());
+namespace {
 
-  const auto it = checkpoint_cache_.find(key);
+struct Fnv1a {  // FNV-1a over 64-bit words
+  std::uint64_t h = 1469598103934665603ull;
+  void operator()(std::int64_t w) {
+    h ^= static_cast<std::uint64_t>(w);
+    h *= 1099511628211ull;
+  }
+};
+
+}  // namespace
+
+AnalysisContext::KeyView::KeyView(util::Time period,
+                                  std::span<const PTask> tasks, bool wcets)
+    : period(period.raw_ns()), tasks(tasks), wcets(wcets) {
+  Fnv1a fnv;
+  for_each_word(fnv);
+  hash = static_cast<std::size_t>(fnv.h);
+}
+
+std::vector<std::int64_t> AnalysisContext::KeyView::words() const {
+  std::vector<std::int64_t> key;
+  key.reserve((wcets ? 2 : 1) * tasks.size() + 1);
+  for_each_word([&](std::int64_t w) { key.push_back(w); });
+  return key;
+}
+
+std::size_t AnalysisContext::KeyHash::operator()(
+    const std::vector<std::int64_t>& key) const {
+  Fnv1a fnv;
+  for (const std::int64_t w : key) fnv(w);
+  return static_cast<std::size_t>(fnv.h);
+}
+
+bool AnalysisContext::KeyEq::operator()(
+    const KeyView& v, const std::vector<std::int64_t>& key) const {
+  if (key.size() != (v.wcets ? 2 : 1) * v.tasks.size() + 1) return false;
+  std::size_t i = 0;
+  bool same = true;
+  v.for_each_word([&](std::int64_t w) { same = same && key[i++] == w; });
+  return same;
+}
+
+bool AnalysisContext::KeyEq::operator()(const KeyView& a,
+                                        const KeyView& b) const {
+  return a.period == b.period && a.wcets == b.wcets &&
+         std::equal(a.tasks.begin(), a.tasks.end(), b.tasks.begin(),
+                    b.tasks.end(), [&](const PTask& x, const PTask& y) {
+                      return x.period == y.period &&
+                             (!a.wcets || x.wcet == y.wcet);
+                    });
+}
+
+const DemandSteps& AnalysisContext::checkpoints_for(
+    std::span<const PTask> tasks, util::Time period) {
+  const KeyView view(period, tasks, false);
+  const auto it = checkpoint_cache_.find(view);
   if (it != checkpoint_cache_.end()) return it->second;
 
   VC2M_PROFILE_PHASE("checkpoints");
   if (auto* ctr = util::alloc_counters()) ++ctr->soa_rebuilds;
   soa_.assign(tasks);
-  const util::Time horizon = util::lcm(soa_.hyperperiod(), period);
-  CheckpointEntry entry;
-  entry.periods = soa_.period;
-  merge_checkpoints(entry.periods, horizon, entry.points);
+  DemandSteps steps;
+  steps.assign(soa_.period, util::lcm(soa_.hyperperiod(), period));
   // unordered_map values are node-stable: the reference survives rehashes.
-  return checkpoint_cache_.emplace(std::move(key), std::move(entry))
+  return checkpoint_cache_.emplace(view.words(), std::move(steps))
       .first->second;
 }
 
 std::optional<util::Time> AnalysisContext::compute_min_budget(
-    std::span<const PTask> tasks, util::Time period, const CheckpointEntry* ck,
+    std::span<const PTask> tasks, util::Time period, const DemandSteps* ck,
     double total_util, util::Arena& scratch) {
   // Mirrors min_budget_edf's early-outs exactly; when neither fires the
   // caller has resolved `ck` (over-utilized groups never build checkpoints,
@@ -65,26 +112,17 @@ std::optional<util::Time> AnalysisContext::compute_min_budget(
   if (total_util > 1.0 + 1e-12) return std::nullopt;
 
   util::Arena::Scope mark(scratch);
-  auto wcets = scratch.alloc_array<std::int64_t>(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    wcets[i] = tasks[i].wcet.raw_ns();
+  auto slot_wcet = scratch.alloc_array<std::int64_t>(ck->slots);
   auto demand = scratch.alloc_array<util::Time>(ck->points.size());
-  demand_at(ck->periods, wcets, ck->points, demand);
+  ck->demand(tasks, slot_wcet, demand);
   return min_budget_on_curve(DemandCurve{ck->points, demand}, total_util,
                              period);
 }
 
 std::optional<util::Time> AnalysisContext::min_budget(
     std::span<const PTask> tasks, util::Time period) {
-  std::vector<std::int64_t> key;
-  key.reserve(2 * tasks.size() + 1);
-  key.push_back(period.raw_ns());
-  for (const auto& t : tasks) {
-    key.push_back(t.period.raw_ns());
-    key.push_back(t.wcet.raw_ns());
-  }
-
-  const auto it = budget_memo_.find(key);
+  const KeyView view(period, tasks, true);
+  const auto it = budget_memo_.find(view);
   if (it != budget_memo_.end()) {
     if (auto* ctr = util::alloc_counters()) ++ctr->budget_cache_hits;
     return it->second;
@@ -93,12 +131,12 @@ std::optional<util::Time> AnalysisContext::min_budget(
   if (auto* ctr = util::alloc_counters()) ++ctr->budget_evaluations;
   VC2M_PROFILE_PHASE("min_budget");
   const double u = total_utilization(tasks);
-  const CheckpointEntry* ck = nullptr;
+  const DemandSteps* ck = nullptr;
   if (!tasks.empty() && u <= 1.0 + 1e-12) ck = &checkpoints_for(tasks, period);
   const std::optional<util::Time> theta =
       compute_min_budget(tasks, period, ck, u, arena_);
   emit_budget_search(tasks, period, theta);
-  budget_memo_.emplace(std::move(key), theta);
+  budget_memo_.emplace(view.words(), theta);
   return theta;
 }
 
@@ -110,37 +148,31 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
 
   // One distinct, unmemoized query; duplicates within the batch alias it.
   struct Job {
-    std::size_t first;              ///< first query index asking this key
-    std::vector<std::int64_t> key;  ///< committed to the memo afterwards
+    std::size_t first;  ///< first query index asking this key
     double util = 0;
-    const CheckpointEntry* ck = nullptr;
+    const DemandSteps* ck = nullptr;
     std::optional<util::Time> theta;
     util::AllocCounters counters;  ///< striped runs only
   };
   std::vector<Job> jobs;
   std::vector<std::size_t> job_of(queries.size(), SIZE_MAX);
-  std::unordered_map<std::vector<std::int64_t>, std::size_t, KeyHash>
-      batch_index;
+  // Keyed by views into `queries`, which outlive the batch.
+  std::unordered_map<KeyView, std::size_t, KeyHash, KeyEq> batch_index;
+  batch_index.reserve(queries.size());
 
   // Serial pass 1 — memo and duplicate resolution, with counter semantics
   // identical to a serial min_budget() loop over the queries: fresh key →
   // budget_evaluations, repeated or memoized key → budget_cache_hits.
   auto* ctr = util::alloc_counters();
-  std::vector<std::int64_t> key;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    key.clear();
-    key.reserve(2 * queries[q].size() + 1);
-    key.push_back(period.raw_ns());
-    for (const auto& t : queries[q]) {
-      key.push_back(t.period.raw_ns());
-      key.push_back(t.wcet.raw_ns());
-    }
-    if (const auto hit = budget_memo_.find(key); hit != budget_memo_.end()) {
+    const KeyView view(period, queries[q], true);
+    if (const auto hit = budget_memo_.find(view); hit != budget_memo_.end()) {
       if (ctr) ++ctr->budget_cache_hits;
       out[q] = BatchResult{hit->second, false};
       continue;
     }
-    if (const auto dup = batch_index.find(key); dup != batch_index.end()) {
+    const auto [dup, fresh] = batch_index.emplace(view, jobs.size());
+    if (!fresh) {
       // A serial loop would have memoized the first occurrence already.
       if (ctr) ++ctr->budget_cache_hits;
       job_of[q] = dup->second;
@@ -148,8 +180,7 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
     }
     if (ctr) ++ctr->budget_evaluations;
     job_of[q] = jobs.size();
-    batch_index.emplace(key, jobs.size());
-    jobs.push_back(Job{q, key, total_utilization(queries[q]), nullptr,
+    jobs.push_back(Job{q, total_utilization(queries[q]), nullptr,
                        std::nullopt, util::AllocCounters{}});
   }
 
@@ -223,7 +254,9 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
         for (const auto& job : jobs) ctr->merge(job.counters);
     }
 
-    for (auto& job : jobs) budget_memo_.emplace(std::move(job.key), job.theta);
+    for (const auto& job : jobs)
+      budget_memo_.emplace(KeyView(period, queries[job.first], true).words(),
+                           job.theta);
   }
 
   for (std::size_t q = 0; q < queries.size(); ++q)

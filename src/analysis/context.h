@@ -15,9 +15,10 @@
 // (docs/performance.md):
 //  - a per-solve bump Arena for all scratch (checkpoint buffers, demand
 //    curves, per-cell task views, packing work arrays);
-//  - a checkpoint/SoA cache keyed by (Π, periods): every grid cell of one
-//    VCPU shares one sorted checkpoint stream instead of re-deriving and
-//    re-sorting it per binary-search probe;
+//  - a checkpoint cache keyed by (Π, periods): every grid cell of one VCPU
+//    shares one sorted checkpoint stream and its demand step lists, so a
+//    cell's demand is a running sum and its budget one pass over the
+//    stream;
 //  - min_budget_batch(), which answers a whole min-budget surface in one
 //    call, optionally striping the per-cell searches over a thread pool
 //    with a serial-order reduction so results *and* AllocCounters are
@@ -58,9 +59,9 @@ class AnalysisContext {
   AnalysisContext(const AnalysisContext&) = delete;
   AnalysisContext& operator=(const AnalysisContext&) = delete;
 
-  /// Memoized analysis::min_budget_edf, computed on the cached checkpoint
-  /// stream with demand evaluated once rather than once per binary-search
-  /// probe. Returns exactly what min_budget_edf(tasks, period) returns.
+  /// Memoized analysis::min_budget_edf, computed in one pass over the
+  /// cached checkpoint stream. Returns exactly what min_budget_edf(tasks,
+  /// period) returns.
   std::optional<util::Time> min_budget(std::span<const PTask> tasks,
                                        util::Time period);
 
@@ -118,49 +119,70 @@ class AnalysisContext {
   const util::AllocCounters& counters() const { return scope_.counters(); }
 
  private:
-  // Key = [Π, p_0, e_0, p_1, e_1, ...] in caller order (identical queries
-  // build identical task vectors, so order sensitivity costs nothing and
-  // avoids a canonicalization pass).
-  struct KeyHash {
-    std::size_t operator()(const std::vector<std::int64_t>& key) const {
-      std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the words
-      for (const std::int64_t w : key) {
-        h ^= static_cast<std::uint64_t>(w);
-        h *= 1099511628211ull;
+  // Keys are flat words in caller order: [Π, p_0, e_0, p_1, e_1, ...] for
+  // the budget memo, [Π, p_0, p_1, ...] for the checkpoint cache (identical
+  // queries build identical task vectors, so order sensitivity costs nothing
+  // and avoids a canonicalization pass). A lookup hashes and compares the
+  // query's PTask span in place through a KeyView (heterogeneous lookup); a
+  // key vector is built only when an entry is inserted.
+  struct KeyView {
+    KeyView(util::Time period, std::span<const PTask> tasks, bool wcets);
+    template <class F>
+    void for_each_word(F&& f) const {
+      f(period);
+      for (const auto& t : tasks) {
+        f(t.period.raw_ns());
+        if (wcets) f(t.wcet.raw_ns());
       }
-      return static_cast<std::size_t>(h);
     }
+    std::vector<std::int64_t> words() const;
+
+    std::int64_t period;
+    std::span<const PTask> tasks;
+    bool wcets;        ///< budget key (p, e pairs) vs checkpoint key (p only)
+    std::size_t hash;  ///< FNV-1a over the words, computed once
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const std::vector<std::int64_t>& key) const;
+    std::size_t operator()(const KeyView& v) const { return v.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const std::vector<std::int64_t>& a,
+                    const std::vector<std::int64_t>& b) const {
+      return a == b;
+    }
+    bool operator()(const KeyView& v,
+                    const std::vector<std::int64_t>& key) const;
+    bool operator()(const std::vector<std::int64_t>& key,
+                    const KeyView& v) const {
+      return (*this)(v, key);
+    }
+    bool operator()(const KeyView& a, const KeyView& b) const;
   };
 
-  /// One cached checkpoint stream: the sorted, deduplicated dbf checkpoints
-  /// of a (Π, periods) pair up to lcm(hyperperiod, Π), plus the period
-  /// column the demand kernel consumes. Shared by every wcet surface (grid
-  /// cell) asking about the same periods.
-  struct CheckpointEntry {
-    std::vector<std::int64_t> periods;
-    std::vector<util::Time> points;
-  };
+  /// Cache lookup/build for the checkpoint stream and demand step lists of
+  /// (tasks' periods, Π), shared by every wcet surface (grid cell) asking
+  /// about the same periods. Serial only (called before any striped
+  /// dispatch). Counts soa_rebuilds on build.
+  const DemandSteps& checkpoints_for(std::span<const PTask> tasks,
+                                     util::Time period);
 
-  /// Cache lookup/build for the checkpoint stream of (tasks' periods, Π).
-  /// Serial only (called before any striped dispatch). Counts soa_rebuilds
-  /// on build.
-  const CheckpointEntry& checkpoints_for(std::span<const PTask> tasks,
-                                         util::Time period);
-
-  /// The min-budget computation (no memo, no events): demand precomputed
-  /// once over the cached checkpoints, then the binary search re-runs only
-  /// supply comparisons. `scratch` backs the wcet/demand columns.
-  /// Bit-identical result to min_budget_edf(tasks, period).
+  /// The min-budget computation (no memo, no events): demand as a running
+  /// sum over the cached step lists, then one raise-only pass over the
+  /// checkpoints. `scratch` backs the demand column. Bit-identical result to
+  /// min_budget_edf(tasks, period).
   std::optional<util::Time> compute_min_budget(std::span<const PTask> tasks,
                                                util::Time period,
-                                               const CheckpointEntry* ck,
+                                               const DemandSteps* ck,
                                                double total_util,
                                                util::Arena& scratch);
 
   std::unordered_map<std::vector<std::int64_t>, std::optional<util::Time>,
-                     KeyHash>
+                     KeyHash, KeyEq>
       budget_memo_;
-  std::unordered_map<std::vector<std::int64_t>, CheckpointEntry, KeyHash>
+  std::unordered_map<std::vector<std::int64_t>, DemandSteps, KeyHash, KeyEq>
       checkpoint_cache_;
   TaskArrays soa_;  ///< reusable SoA build buffer for cache fills
   util::Arena arena_;

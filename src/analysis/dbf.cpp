@@ -131,4 +131,58 @@ void merge_checkpoints(std::span<const std::int64_t> periods,
   }
 }
 
+void DemandSteps::assign(std::span<const std::int64_t> periods,
+                         util::Time horizon) {
+  merge_checkpoints(periods, horizon, points);
+  std::vector<std::int64_t> uniq(periods.begin(), periods.end());
+  std::sort(uniq.begin(), uniq.end());
+  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+  slots = uniq.size();
+  slot_of_task.clear();
+  for (const std::int64_t p : periods)
+    slot_of_task.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(uniq.begin(), uniq.end(), p) - uniq.begin()));
+
+  // Every multiple m of a period (m ≤ horizon) is one of the sorted points,
+  // so one cursor per period stream finds them all in a single walk.
+  const std::int64_t h = horizon.raw_ns();
+  const auto walk = [&](auto&& visit) {
+    for (std::size_t u = 0; u < uniq.size(); ++u) {
+      const std::int64_t p = uniq[u];
+      if (p > h) continue;
+      std::size_t k = 0;
+      for (std::int64_t m = p;; m += p) {
+        while (points[k].raw_ns() < m) ++k;
+        visit(k, static_cast<std::uint32_t>(u));
+        if (m > h - p) break;
+      }
+    }
+  };
+  const std::size_t n = points.size();
+  step_begin.assign(n + 1, 0);
+  walk([&](std::size_t k, std::uint32_t) { ++step_begin[k + 1]; });
+  for (std::size_t k = 0; k < n; ++k) step_begin[k + 1] += step_begin[k];
+  step_slot.resize(step_begin[n]);
+  std::vector<std::uint32_t> fill(step_begin.begin(), step_begin.end() - 1);
+  walk([&](std::size_t k, std::uint32_t u) { step_slot[fill[k]++] = u; });
+}
+
+void DemandSteps::demand(std::span<const PTask> tasks,
+                         std::span<std::int64_t> slot_wcet,
+                         std::span<util::Time> out) const {
+  VC2M_CHECK(tasks.size() == slot_of_task.size());
+  VC2M_CHECK(slot_wcet.size() >= slots && out.size() >= points.size());
+  if (auto* ctr = util::alloc_counters())
+    ctr->dbf_evaluations += points.size();
+  std::fill_n(slot_wcet.begin(), slots, 0);
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    slot_wcet[slot_of_task[i]] += tasks[i].wcet.raw_ns();
+  std::int64_t acc = 0;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    for (std::uint32_t j = step_begin[k]; j < step_begin[k + 1]; ++j)
+      acc += slot_wcet[step_slot[j]];
+    out[k] = util::Time::ns(acc);
+  }
+}
+
 }  // namespace vc2m::analysis

@@ -12,8 +12,9 @@
 //  - `TaskArrays` is the structure-of-arrays view the hot path uses:
 //    contiguous period/wcet/utilization columns validated once at assign()
 //    time, so the demand-sum inner loops are branchless (no per-element
-//    VC2M_CHECK) and cache-dense. AnalysisContext builds and caches these
-//    (docs/performance.md).
+//    VC2M_CHECK) and cache-dense. From its period column AnalysisContext
+//    builds and caches one `DemandSteps` per (Π, periods), which turns each
+//    grid cell's demand into a running sum (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -76,13 +77,41 @@ struct TaskArrays {
 };
 
 /// Demand at each checkpoint over SoA columns: out[k] = Σ_i ⌊points[k]/p_i⌋
-/// e_i. The wcet column is passed separately so one cached period column
-/// serves many wcet surfaces (grid cells). Counts one dbf evaluation per
-/// point — each out[k] is exactly one dbf(t).
+/// e_i. The wcet column is passed separately so one period column serves
+/// many wcet surfaces (grid cells). The reference for DemandSteps::demand,
+/// which the solvers use. Counts one dbf evaluation per point — each out[k]
+/// is exactly one dbf(t).
 void demand_at(std::span<const std::int64_t> periods,
                std::span<const std::int64_t> wcets,
                std::span<const util::Time> points,
                std::span<util::Time> out);
+
+/// The dbf checkpoints of a period column, plus which periods step at each
+/// one. dbf(t) = Σ_i ⌊t/p_i⌋ e_i rises by e_i at exactly the multiples of
+/// p_i, and every such multiple is a checkpoint, so the demand at points[k]
+/// is the demand at points[k−1] plus the wcets of the tasks whose period
+/// divides points[k]: one running integer sum per grid cell, no division.
+/// The step lists index the *distinct* periods ("slots"), so their total
+/// length is merge_checkpoints' pre-dedup count, which kDbfCheckpointCap
+/// bounds.
+struct DemandSteps {
+  std::vector<util::Time> points;           ///< merge_checkpoints() output
+  std::vector<std::uint32_t> slot_of_task;  ///< task i → its period's slot
+  std::vector<std::uint32_t> step_begin;    ///< CSR offsets, points+1 long
+  std::vector<std::uint32_t> step_slot;     ///< slots whose period | t_k
+  std::size_t slots = 0;                    ///< number of distinct periods
+
+  /// Build for `periods` (task order) up to `horizon`. Same points, cap and
+  /// failures as merge_checkpoints().
+  void assign(std::span<const std::int64_t> periods, util::Time horizon);
+
+  /// out[k] = dbf(tasks, points[k]), bit-identical to demand_at(). `tasks`
+  /// must have the periods, in the order, that assign() was given;
+  /// `slot_wcet` is caller scratch of `slots` words. Counts one dbf
+  /// evaluation per point, like demand_at().
+  void demand(std::span<const PTask> tasks, std::span<std::int64_t> slot_wcet,
+              std::span<util::Time> out) const;
+};
 
 /// dbf_checkpoints over a period column: a k-way merge of the per-task
 /// arithmetic streams (p, 2p, 3p, …) into `out`, already sorted and

@@ -44,19 +44,26 @@ bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm);
 std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
                                          util::Time period);
 
+/// The least budget Θ ∈ [0, Π] with Prm{Π, Θ}.sbf(t) ≥ demand, in closed
+/// form; std::nullopt when even Θ = Π (where sbf(t) = t) falls short.
+/// docs/analysis.md derives it: sbf_Θ(t) ≥ d > 0 iff n chunks of Θ cover d
+/// (nΘ ≥ d) and the n + 1 gaps of Π − Θ fit into the slack t − d, for
+/// n = ⌈d/Θ⌉; the answer is the least of max(⌈d/n⌉, Π − ⌊(t−d)/(n+1)⌋) over
+/// n ≥ 1, where those two pieces cross.
+std::optional<util::Time> sbf_min_budget(util::Time period, util::Time t,
+                                         util::Time demand);
+
 // ---------------------------------------------------------------------------
 // Precomputed-demand kernels (the path every solver takes, through
 // AnalysisContext; see docs/performance.md).
 //
-// Inside one min-budget binary search the taskset is fixed: the checkpoint
-// set and the demand at every checkpoint do not depend on the probed Θ.
-// The reference kernels above nevertheless re-derive both per probe (a
-// fresh dbf_checkpoints allocation + sort, then one dbf() per point); they
-// are kept as the test oracle. The curve form computes demand once and
-// re-runs only the Θ-dependent sbf comparisons — the verdict of every
-// probe, and therefore the returned minimum, is bit-identical to the
-// reference (integer demand/supply, and the same ordered double sum for the
-// rate condition).
+// Inside one min-budget search the taskset is fixed: the checkpoint set and
+// the demand at every checkpoint do not depend on Θ. The reference kernels
+// above nevertheless re-derive both per probe (a fresh dbf_checkpoints
+// allocation + sort, then one dbf() per point); they are kept as the test
+// oracle. The curve form takes the demand once and walks the checkpoints
+// once — the returned minimum is bit-identical to the reference (integer
+// demand/supply, and the same ordered double sum for the rate condition).
 
 /// One task group's demand, precomputed over the dbf checkpoints of its
 /// (periods, horizon) pair. Both spans borrow caller storage (typically an
@@ -72,9 +79,12 @@ struct DemandCurve {
 bool curve_schedulable(const DemandCurve& curve, double total_util,
                        const Prm& prm);
 
-/// min_budget_edf on a precomputed curve: same probes, same binary-search
-/// arithmetic, same minimum — demand evaluated zero times (the curve
-/// carries it).
+/// min_budget_edf on a precomputed curve, in one pass over the checkpoints:
+/// Θ starts at ⌊U·Π⌋ and is raised only where the rate condition or a
+/// checkpoint fails, straight to that checkpoint's own minimum
+/// (sbf_min_budget). Feasibility is a conjunction of conditions each
+/// monotone in Θ, so this is the least feasible Θ ≥ ⌊U·Π⌋ — exactly what
+/// min_budget_edf's bisection returns.
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
                                               double total_util,
                                               util::Time period);

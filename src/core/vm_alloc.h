@@ -12,10 +12,9 @@
 //     Heuristic (existing CSA) comparison solution.
 //
 // The existing-CSA paths take an analysis::AnalysisContext: budget surfaces
-// are memoized there and each grid point's binary search is bounded by the
-// already-computed neighbor budgets (surfaces are non-increasing in cache
-// and BW), cutting demand-bound evaluations without changing any result.
-// The context-free overloads run with a private context.
+// are memoized there and answered in one batch per VCPU (one checkpoint
+// stream shared by every grid cell) without changing any result. The
+// context-free overloads run with a private context.
 #pragma once
 
 #include <cstddef>

@@ -12,6 +12,7 @@
 #include "util/error.h"
 #include "util/file.h"
 #include "util/parse.h"
+#include "util/record.h"
 
 namespace vc2m::obs {
 
@@ -332,27 +333,26 @@ std::vector<sim::TraceEvent> read_trace_csv(std::istream& is) {
   std::vector<sim::TraceEvent> out;
   std::string line;
   std::getline(is, line);  // header
-  VC2M_CHECK_MSG(line.rfind("time_ns,", 0) == 0,
-                 "not a vc2m trace CSV (missing header)");
+  if (line.rfind("time_ns,", 0) != 0)
+    throw util::Error("not a vc2m trace CSV (missing header)");
   std::size_t lineno = 1;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
+    const std::string where = "trace CSV line " + std::to_string(lineno);
     std::istringstream ls(line);
     std::string cell;
     std::vector<std::string> cells;
     while (std::getline(ls, cell, ',')) cells.push_back(cell);
-    VC2M_CHECK_MSG(cells.size() == 6,
-                   "trace CSV line " << lineno << ": expected 6 fields");
+    if (cells.size() != 6) throw util::Error(where + ": expected 6 fields");
     const auto kind = sim::trace_kind_from_string(cells[1]);
-    VC2M_CHECK_MSG(kind.has_value(), "trace CSV line "
-                                         << lineno << ": unknown kind '"
-                                         << cells[1] << "'");
+    if (!kind)
+      throw util::Error(where + ": unknown kind '" + cells[1] + "'");
     const auto read = [&]<class T>(std::size_t i, const char* column,
                                    T& field) {
       const auto v = util::parse_int<T>(cells[i]);
-      VC2M_CHECK_MSG(v, "trace CSV line " << lineno << ": bad " << column
-                                          << " '" << cells[i] << "'");
+      if (!v)
+        throw util::Error(where + ": bad " + column + " '" + cells[i] + "'");
       field = *v;
     };
     sim::TraceEvent ev;
@@ -372,28 +372,38 @@ std::vector<sim::TraceEvent> read_trace_csv(std::istream& is) {
 std::vector<sim::TraceEvent> read_chrome_trace(std::istream& is) {
   std::vector<sim::TraceEvent> out;
   std::string line;
+  std::size_t lineno = 0;
   bool in_events = false, found = false;
   while (std::getline(is, line)) {
+    ++lineno;
     if (!in_events) {
       if (line.rfind("\"vc2mEvents\"", 0) == 0) in_events = found = true;
       continue;
     }
     if (line.rfind("]", 0) == 0) break;
-    std::int64_t t = 0, j = -1;
-    int k = 0, core = -1, vcpu = -1, task = -1;
-    const int matched = std::sscanf(
-        line.c_str(),
-        "{\"t\":%" SCNd64 ",\"k\":%d,\"c\":%d,\"v\":%d,\"x\":%d,\"j\":%" SCNd64
-        "}",
-        &t, &k, &core, &vcpu, &task, &j);
-    VC2M_CHECK_MSG(matched == 6, "malformed vc2mEvents record: " << line);
-    VC2M_CHECK_MSG(
-        k >= 0 && k < static_cast<int>(sim::TraceKind::kCount_),
-        "vc2mEvents record with unknown kind " << k);
-    out.push_back({util::Time::ns(t), static_cast<sim::TraceKind>(k), core,
-                   vcpu, task, j});
+    // One record per line, as write_chrome_trace emits it:
+    // {"t":…,"k":…,"c":…,"v":…,"x":…,"j":…} and a comma unless last.
+    std::string_view rec = line;
+    if (rec.ends_with(',')) rec.remove_suffix(1);
+    const std::string where = "trace JSON line " + std::to_string(lineno);
+    if (rec.size() < 2 || rec.front() != '{' || rec.back() != '}')
+      throw util::Error(where + ": not a vc2mEvents record");
+    util::RecordReader in(rec.substr(1, rec.size() - 2), ',', where, ':');
+    sim::TraceEvent ev;
+    ev.when = util::Time::ns(in.next_int<std::int64_t>("\"t\""));
+    const auto k = in.next_int<std::int32_t>("\"k\"");
+    if (k < 0 || k >= static_cast<std::int32_t>(sim::TraceKind::kCount_))
+      in.fail("unknown kind " + std::to_string(k));
+    ev.kind = static_cast<sim::TraceKind>(k);
+    ev.core = in.next_int<std::int32_t>("\"c\"");
+    ev.vcpu = in.next_int<std::int32_t>("\"v\"");
+    ev.task = in.next_int<std::int32_t>("\"x\"");
+    ev.job = in.next_int<std::int64_t>("\"j\"");
+    in.finish();
+    out.push_back(ev);
   }
-  VC2M_CHECK_MSG(found, "no vc2mEvents array (not a vc2m-written trace?)");
+  if (!found)
+    throw util::Error("no vc2mEvents array (not a vc2m-written trace?)");
   return out;
 }
 
@@ -417,7 +427,7 @@ void write_trace_file(const std::string& path,
 
 std::vector<sim::TraceEvent> read_trace_file(const std::string& path) {
   std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
+  if (!f.good()) throw util::Error("cannot open " + path);
   return has_suffix(path, ".csv") ? read_trace_csv(f) : read_chrome_trace(f);
 }
 

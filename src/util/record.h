@@ -22,8 +22,11 @@ namespace vc2m::util {
 
 class RecordReader {
  public:
-  RecordReader(std::string_view text, char sep, std::string what)
-      : what_(std::move(what)) {
+  /// `kv` separates a field's key from its value ("key=value" by default;
+  /// ':' reads JSON-style "\"key\":value" fields).
+  RecordReader(std::string_view text, char sep, std::string what,
+               char kv = '=')
+      : what_(std::move(what)), kv_(kv) {
     std::size_t start = 0;
     while (true) {
       const auto p = text.find(sep, start);
@@ -40,16 +43,17 @@ class RecordReader {
     return parts_[next_++];
   }
 
-  /// The value of the next field, which must be "<key>=<value>".
+  /// The value of the next field, which must be "<key>=<value>" (with the
+  /// constructor's key/value separator).
   std::string_view next(std::string_view key) {
     if (next_ == parts_.size())
       fail("ends after " + std::to_string(parts_.size()) +
            " fields, before '" + std::string(key) + "'");
     const std::string_view f = parts_[next_];
     if (f.size() <= key.size() || f.substr(0, key.size()) != key ||
-        f[key.size()] != '=')
+        f[key.size()] != kv_)
       fail("field " + std::to_string(next_) + " is not '" +
-           std::string(key) + "='");
+           std::string(key) + kv_ + "'");
     ++next_;
     return f.substr(key.size() + 1);
   }
@@ -78,6 +82,7 @@ class RecordReader {
   std::vector<std::string_view> parts_;
   std::size_t next_ = 0;
   std::string what_;
+  char kv_;
 };
 
 }  // namespace vc2m::util

@@ -156,6 +156,60 @@ TEST(Prm, SbfIsMonotoneAndDominatesLsbf) {
   }
 }
 
+/// The least Θ ∈ [0, Π] with d ≤ sbf_Θ(t) by bisection over Prm::sbf, or
+/// nullopt when Θ = Π falls short: the oracle for sbf_min_budget.
+std::optional<Time> bisect_point_budget(Time pi, Time t, Time d) {
+  const auto ok = [&](Time th) { return d <= Prm{pi, th}.sbf(t); };
+  if (!ok(pi)) return std::nullopt;
+  Time lo = Time::zero(), hi = pi;
+  while (lo < hi) {
+    const Time mid = Time::ns(lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
+    if (ok(mid))
+      hi = mid;
+    else
+      lo = mid + Time::ns(1);
+  }
+  return hi;
+}
+
+TEST(Prm, SbfIsMonotoneInBudgetExhaustively) {
+  // The one-pass min-budget search is exact only because sbf_Θ(t) never
+  // falls as Θ grows; check every Θ and t for every small Π.
+  for (std::int64_t pi = 1; pi <= 48; ++pi)
+    for (std::int64_t t = 0; t <= 4 * pi; ++t) {
+      Time prev = Time::zero();
+      for (std::int64_t th = 0; th <= pi; ++th) {
+        const Time s = Prm{Time::ns(pi), Time::ns(th)}.sbf(Time::ns(t));
+        ASSERT_GE(s, prev) << "Π=" << pi << " Θ=" << th << " t=" << t;
+        prev = s;
+      }
+    }
+}
+
+TEST(Prm, PointBudgetInversionMatchesBisectionExhaustively) {
+  for (std::int64_t pi = 1; pi <= 48; ++pi)
+    for (std::int64_t t = 0; t <= 4 * pi; ++t)
+      for (std::int64_t d = 0; d <= 4 * pi + 1; ++d)
+        ASSERT_EQ(sbf_min_budget(Time::ns(pi), Time::ns(t), Time::ns(d)),
+                  bisect_point_budget(Time::ns(pi), Time::ns(t), Time::ns(d)))
+            << "Π=" << pi << " t=" << t << " d=" << d;
+}
+
+TEST(Prm, PointBudgetInversionMatchesBisectionAtNanosecondScale) {
+  // Realistic magnitudes (Π up to 100 ms, t up to 1000 periods), where the
+  // closed form's floating-point crossing estimate is least exact.
+  util::Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const Time pi = Time::ns(rng.uniform_int(1, 100'000'000));
+    const Time t = Time::ns(rng.uniform_int(0, 1000 * pi.raw_ns()));
+    const Time d =
+        Time::ns(static_cast<std::int64_t>(rng.uniform(0.0, 1.05) *
+                                           static_cast<double>(t.raw_ns())));
+    ASSERT_EQ(sbf_min_budget(pi, t, d), bisect_point_budget(pi, t, d))
+        << "Π=" << pi.raw_ns() << " t=" << t.raw_ns() << " d=" << d.raw_ns();
+  }
+}
+
 TEST(Prm, PaperExampleTask10_1NeedsBudget5_5) {
   // The motivating example of §1: a single task (p=10, e=1) requires a
   // minimum PRM budget of 5.5 at Π = 10 — 55× the task's utilization.
@@ -347,6 +401,75 @@ TEST(AnalysisContextOracle, BatchMatchesReferenceAndSerialCounters) {
           << "seed " << seed << " inner " << inner;
     }
   }
+}
+
+/// A task group for the one-pass search oracle: 1–6 tasks on non-harmonic
+/// µs periods with a small hyperperiod (1.8 ms), frequent duplicate periods,
+/// ns-granular wcets and total utilization spread over (0.05, 1.15).
+std::vector<PTask> awkward_group(util::Rng& rng) {
+  static const std::int64_t kPeriodsUs[] = {40, 60, 90, 100, 120, 150, 180,
+                                            200};
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+  const double u = rng.uniform(0.05, 1.15);
+  std::vector<PTask> g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i].period = i > 0 && rng.bernoulli(0.25)
+                      ? g[rng.index(i)].period
+                      : Time::us(kPeriodsUs[rng.index(std::size(kPeriodsUs))]);
+    const double share = u / static_cast<double>(n) * rng.uniform(0.5, 1.5);
+    g[i].wcet = Time::ns(std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(share *
+                                     static_cast<double>(g[i].period.raw_ns()))));
+  }
+  return g;
+}
+
+TEST(Prm, OnePassMinBudgetMatchesReferenceOnRandomGroups) {
+  // The one-pass search (and the step-list demand feeding it) against the
+  // reference bisection, on groups where Π divides no period half the time.
+  static const std::int64_t kVcpuPeriodsUs[] = {25, 45, 50, 70, 75, 80};
+  util::Rng rng(2024);
+  int feasible = 0, infeasible = 0, later_raises = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const auto g = awkward_group(rng);
+    Time pi = g.front().period;
+    for (const auto& t : g) pi = util::min(pi, t.period);
+    if (rng.bernoulli(0.5))
+      pi = Time::us(kVcpuPeriodsUs[rng.index(std::size(kVcpuPeriodsUs))]);
+
+    TaskArrays soa;
+    soa.assign(g);
+    DemandSteps steps;
+    steps.assign(soa.period, util::lcm(soa.hyperperiod(), pi));
+    std::vector<Time> ref_demand(steps.points.size());
+    demand_at(soa.period, soa.wcet, steps.points, ref_demand);
+    std::vector<std::int64_t> slot_wcet(steps.slots);
+    std::vector<Time> demand(steps.points.size());
+    steps.demand(g, slot_wcet, demand);
+    ASSERT_EQ(demand, ref_demand) << "group " << i;
+
+    const auto ref = min_budget_edf(g, pi);
+    const auto got = min_budget_on_curve(DemandCurve{steps.points, demand},
+                                         soa.total_util, pi);
+    ASSERT_EQ(got, ref) << "group " << i << " Π=" << pi.raw_ns();
+    if (!ref) {
+      ++infeasible;
+      continue;
+    }
+    ++feasible;
+    // Θ after the rate condition and the first checkpoint: a larger result
+    // means a later checkpoint raised it.
+    Time first = Time::ns(static_cast<std::int64_t>(
+        soa.total_util * static_cast<double>(pi.raw_ns())));
+    while (!(soa.total_util <= Prm{pi, first}.bandwidth() + 1e-12))
+      first += Time::ns(1);
+    first = util::max(first, *sbf_min_budget(pi, steps.points.front(),
+                                             demand.front()));
+    if (*got > first) ++later_raises;
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(later_raises, 0);
 }
 
 // A parameterized sweep: the abstraction overhead (Θ/Π vs utilization) of a

@@ -5,6 +5,9 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/bench_report.h"
 #include "obs/json.h"
@@ -225,6 +228,74 @@ TEST(TraceExport, CsvRejectsBadNumbersWithTheLineNumber) {
                 std::string::npos)
           << row << ": " << e.what();
     }
+  }
+}
+
+/// A Chrome trace whose vc2mEvents array holds `records` (one per line).
+std::string chrome_with(const std::string& records) {
+  return "{\n\"vc2mEvents\": [\n" + records + "\n],\n\"traceEvents\": []\n}\n";
+}
+
+TEST(TraceExport, ChromeRejectsOutOfRangeFieldsNamingThem) {
+  // Each field is parsed at its TraceEvent type: an int32 field never wraps.
+  for (const auto& [record, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"t":0,"k":0,"c":4294967297,"v":0,"x":0,"j":0})", "\"c\""},
+           {R"({"t":0,"k":0,"c":0,"v":-2147483649,"x":0,"j":0})", "\"v\""},
+           {R"({"t":0,"k":0,"c":0,"v":0,"x":0,"j":9223372036854775808})",
+            "\"j\""},
+           {R"({"t":0,"k":99,"c":0,"v":0,"x":0,"j":0})", "kind 99"},
+           {R"({"t":0,"k":0,"c":0,"v":0,"x":0})", "\"j\""},
+           {R"({"t":0,"k":0,"c":0,"v":0,"x":0,"j":0,"z":1})", "fields"},
+           {R"({"t": 0,"k":0,"c":0,"v":0,"x":0,"j":0})", "\"t\""}}) {
+    std::stringstream js(chrome_with(record));
+    try {
+      (void)read_chrome_trace(js);
+      ADD_FAILURE() << "accepted " << record;
+    } catch (const util::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace JSON line 3"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+    }
+  }
+  std::stringstream ok(
+      chrome_with(R"({"t":5,"k":0,"c":2147483647,"v":-1,"x":0,"j":7})"));
+  const auto events = read_chrome_trace(ok);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].core, 2147483647);
+  EXPECT_EQ(events[0].job, 7);
+}
+
+TEST(TraceExport, InputErrorsCarryTheMessageAlone) {
+  // A malformed file is the user's input, not a broken invariant: the error
+  // names the line and the problem, not a source file or a C++ expression.
+  std::vector<std::string> messages;
+  const auto capture = [&](auto&& read) {
+    try {
+      read();
+      ADD_FAILURE() << "accepted malformed input";
+    } catch (const util::Error& e) {
+      messages.push_back(e.what());
+    }
+  };
+  for (const char* csv :
+       {"time_ns,kind,core,vcpu,task,job\n5x,job-release,0,0,0,0\n",
+        "time_ns,kind,core,vcpu,task,job\n5,no-such-kind,0,0,0,0\n",
+        "time_ns,kind,core,vcpu,task,job\n5,job-release,0\n", "garbage\n"}) {
+    std::stringstream ss(csv);
+    capture([&] { (void)read_trace_csv(ss); });
+  }
+  for (const std::string json :
+       {chrome_with("{\"t\":x}"), chrome_with("not a record"),
+        std::string("{\"traceEvents\": []}\n")}) {
+    std::stringstream js(json);
+    capture([&] { (void)read_chrome_trace(js); });
+  }
+  capture([] { (void)read_trace_file("no/such/trace.csv"); });
+  ASSERT_EQ(messages.size(), 8u);
+  for (const auto& msg : messages) {
+    EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
   }
 }
 

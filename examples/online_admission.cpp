@@ -10,6 +10,7 @@
 //   $ ./online_admission
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "analysis/schedulability.h"
 #include "core/admission.h"
@@ -74,12 +75,14 @@ int main() {
   for (const auto& a : arrivals) {
     const auto tasks = make_vm(a.util, a.id, 10 + a.id, platform);
     util::Rng admit_rng(20 + a.id);
-    const auto res =
-        core::admit_vm(state, tasks, a.id, platform, vm_cfg, admit_rng);
+    // The state moves through the decision and comes back either way: the
+    // grown system on admission, the input unchanged on rejection.
+    auto res = core::admit_vm(std::move(state), tasks, a.id, platform,
+                              vm_cfg, admit_rng);
+    state = std::move(res.state);
     std::printf("\nadmit VM %d (util %.2f, %zu tasks): %s\n", a.id, a.util,
                 tasks.size(), res.admitted ? "ADMITTED" : "REJECTED");
     if (res.admitted) {
-      state = res.state;
       print_state(state, platform);
     } else {
       std::printf("    running system untouched\n");
@@ -87,7 +90,7 @@ int main() {
   }
 
   std::cout << "\nshutdown VM 1:\n";
-  state = core::remove_vm(state, 1);
+  state = core::remove_vm(std::move(state), 1);
   print_state(state, platform);
 
   std::cout << "\nNote how the rejected VM 3 left no trace, and how removal "

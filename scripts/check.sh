@@ -42,6 +42,9 @@
 # re-runs the golden-equivalence suite explicitly (allocation engine
 # bit-identical to the pre-registry seed, with strictly fewer dbf
 # evaluations) and the bench_micro_ops --smoke memoization-counter check.
+# The input-error smoke runs perfdiff, explain, timeline and check --trace
+# on a missing file and perfdiff on a report holding 1e999: each must exit
+# with a clean error naming no source location and no sanitizer report.
 # Finally the address pass runs the perf smoke: bench_micro_ops --smoke
 # --json must emit a schema-valid BENCH_*.json, `vc2m perfdiff` must pass a
 # self-compare and must flag a synthetic 3x phase-time regression — and
@@ -365,6 +368,44 @@ telemetry_smoke() {
   echo "--- telemetry smoke passed ---"
 }
 
+input_error_smoke() {
+  # $1 = build dir with a tools/vc2m binary. A missing input file and a
+  # report holding a number out of the double range are the user's errors:
+  # each command must exit non-zero (below 128, so no crash) with no
+  # sanitizer report and no source location on stderr.
+  local vc2m="$1/tools/vc2m"
+  local work; work="$(mktemp -d)"
+  trap 'rm -rf "$work"' RETURN
+  local missing="$work/missing.json"
+  printf '{"schema": "vc2m-bench-report/1", "x": 1e999}\n' > "$work/big.json"
+  local -a cases=(
+    "perfdiff $missing $missing"
+    "explain $missing"
+    "timeline $missing"
+    "check --trace $missing"
+    "perfdiff $work/big.json $work/big.json"
+  )
+  local c rc
+  for c in "${cases[@]}"; do
+    rc=0
+    # shellcheck disable=SC2086  # each case is a word list
+    ASAN_OPTIONS=abort_on_error=1 "$vc2m" $c > /dev/null 2> "$work/err.txt" \
+      || rc=$?
+    if [ "$rc" -eq 0 ] || [ "$rc" -ge 128 ]; then
+      echo "vc2m $c: exit $rc, expected a clean error:"
+      cat "$work/err.txt"
+      return 1
+    fi
+    if grep -Eq 'Sanitizer|runtime error|check failed|\.(cpp|h):[0-9]' \
+        "$work/err.txt"; then
+      echo "vc2m $c: stderr names a sanitizer report or a source location:"
+      cat "$work/err.txt"
+      return 1
+    fi
+  done
+  echo "--- input-error smoke passed ---"
+}
+
 perf_smoke() {
   # $1 = build dir with bench/bench_micro_ops and tools/vc2m binaries.
   local work; work="$(mktemp -d)"
@@ -478,6 +519,8 @@ for san in "${sanitizers[@]}"; do
     serve_smoke "$dir"
     echo "=== ${san}: telemetry smoke (timeline + spans + SIGUSR1 + fuzz) ==="
     telemetry_smoke "$dir"
+    echo "=== ${san}: input-error smoke (missing files, 1e999) ==="
+    input_error_smoke "$dir"
     echo "=== ${san}: taskset fuzz ==="
     taskset_fuzz "$dir"
     echo "=== ${san}: golden equivalence (engine vs seed digests) ==="

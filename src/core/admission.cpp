@@ -49,21 +49,25 @@ std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
   return std::make_pair(c, b);
 }
 
-}  // namespace
 
-AdmitResult admit_vm(const AdmissionState& current,
-                     const model::Taskset& vm_tasks, int vm_id,
-                     const model::PlatformSpec& platform,
-                     const VmAllocConfig& vm_cfg, util::Rng& rng) {
+bool holds_vm(const AdmissionState& st, int vm_id) {
+  return std::any_of(st.vcpus.begin(), st.vcpus.end(),
+                     [&](const model::Vcpu& v) { return v.vm == vm_id; });
+}
+
+void check_vm_tasks(const model::Taskset& vm_tasks, int vm_id) {
   VC2M_CHECK(!vm_tasks.empty());
   for (const auto& t : vm_tasks)
     VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
-  for (const auto& v : current.vcpus)
-    VC2M_CHECK_MSG(v.vm != vm_id, "VM id already present");
+}
 
-  AdmitResult result;
-  result.request_id = vm_cfg.request_id;
-  AdmissionState next = current;
+/// Parameterizes `vm_tasks` as `vm_id`'s new VCPUs and places them into
+/// `next`, appending to `next.vcpus` and growing `next.mapping`. Returns
+/// false on rejection, with `next` partly updated: the caller rolls it
+/// back.
+bool place_vm(AdmissionState& next, const model::Taskset& vm_tasks, int vm_id,
+              const model::PlatformSpec& platform, const VmAllocConfig& vm_cfg,
+              util::Rng& rng) {
   analysis::AnalysisContext ctx;  // one memo + counter scope per decision
   ctx.set_inner_parallelism(vm_cfg.inner_pool, vm_cfg.inner_jobs);
   ctx.set_request_id(vm_cfg.request_id);
@@ -83,7 +87,7 @@ AdmitResult admit_vm(const AdmissionState& current,
 
   for (auto& vcpu : new_vcpus) {
     vcpu.vm = vm_id;
-    next.vcpus.push_back(vcpu);
+    next.vcpus.push_back(std::move(vcpu));
     const std::size_t vi = next.vcpus.size() - 1;
 
     // Candidate placements compete on pool consumption (partitions newly
@@ -179,7 +183,7 @@ AdmitResult admit_vm(const AdmissionState& current,
         }
       }
     }
-    if (!have_candidate) {  // rejection: `current` untouched
+    if (!have_candidate) {
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
         e.kind = obs::DecisionKind::kAdmitVerdict;
@@ -199,7 +203,7 @@ AdmitResult admit_vm(const AdmissionState& current,
         }
         log->emit(e);
       }
-      return result;
+      return false;
     }
 
     if (best_core < next.mapping.cores_used) {
@@ -228,57 +232,108 @@ AdmitResult admit_vm(const AdmissionState& current,
     log->emit(e);
   }
   next.mapping.schedulable = true;
-  result.admitted = true;
-  result.state = std::move(next);
+  return true;
+}
+
+/// Undoes a rejected place_vm: drops the VCPUs appended past `n0` and puts
+/// back the mapping saved before it ran.
+void roll_back(AdmissionState& st, std::size_t n0, HvAllocResult& saved) {
+  st.vcpus.erase(st.vcpus.begin() + static_cast<std::ptrdiff_t>(n0),
+                 st.vcpus.end());
+  st.mapping = std::move(saved);
+}
+
+/// A VCPU taken out of the state, with its index before the removal.
+using RemovedVcpu = std::pair<std::size_t, model::Vcpu>;
+
+/// Removes `vm_id`'s VCPUs from `st` in place: survivors move down in
+/// their order, every core's list is remapped, and empty trailing cores are
+/// trimmed (interior cores keep their partitions — shrinking them would
+/// perturb running VMs' cache contents). The removed VCPUs are moved into
+/// `removed`, in ascending original index.
+void erase_vm(AdmissionState& st, int vm_id,
+              std::vector<RemovedVcpu>& removed) {
+  const std::size_t n = st.vcpus.size();
+  std::vector<std::size_t> remap(n, n);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (st.vcpus[i].vm == vm_id) {
+      removed.emplace_back(i, std::move(st.vcpus[i]));
+      continue;
+    }
+    remap[i] = kept;
+    if (kept != i) st.vcpus[kept] = std::move(st.vcpus[i]);
+    ++kept;
+  }
+  st.vcpus.erase(st.vcpus.begin() + static_cast<std::ptrdiff_t>(kept),
+                 st.vcpus.end());
+
+  auto& m = st.mapping;
+  for (auto& core : m.vcpus_on_core) {
+    std::size_t w = 0;
+    for (const std::size_t v : core)
+      if (remap[v] < n) core[w++] = remap[v];
+    core.resize(w);
+  }
+  while (!m.vcpus_on_core.empty() && m.vcpus_on_core.back().empty()) {
+    m.vcpus_on_core.pop_back();
+    m.cache.pop_back();
+    m.bw.pop_back();
+    --m.cores_used;
+  }
+  m.schedulable = true;
+}
+
+}  // namespace
+
+AdmitResult admit_vm(AdmissionState current, const model::Taskset& vm_tasks,
+                     int vm_id, const model::PlatformSpec& platform,
+                     const VmAllocConfig& vm_cfg, util::Rng& rng) {
+  check_vm_tasks(vm_tasks, vm_id);
+  VC2M_CHECK_MSG(!holds_vm(current, vm_id), "VM id already present");
+
+  AdmitResult result;
+  result.request_id = vm_cfg.request_id;
+  const std::size_t n0 = current.vcpus.size();
+  HvAllocResult saved = current.mapping;
+  result.admitted = place_vm(current, vm_tasks, vm_id, platform, vm_cfg, rng);
+  if (!result.admitted) roll_back(current, n0, saved);
+  result.state = std::move(current);
   return result;
 }
 
-AdmissionState remove_vm(const AdmissionState& current, int vm_id) {
-  AdmissionState next;
-  next.mapping = current.mapping;
-
-  // Compact the VCPU vector; remap indices in the core lists.
-  std::vector<std::size_t> remap(current.vcpus.size(),
-                                 current.vcpus.size());
-  for (std::size_t i = 0; i < current.vcpus.size(); ++i) {
-    if (current.vcpus[i].vm == vm_id) continue;
-    remap[i] = next.vcpus.size();
-    next.vcpus.push_back(current.vcpus[i]);
-  }
-  VC2M_CHECK_MSG(next.vcpus.size() < current.vcpus.size(),
-                 "VM id not present");
-
-  for (auto& core : next.mapping.vcpus_on_core) {
-    std::vector<std::size_t> kept;
-    for (const std::size_t v : core)
-      if (remap[v] < current.vcpus.size()) kept.push_back(remap[v]);
-    core = std::move(kept);
-  }
-  // Trim empty trailing cores (interior cores keep their partitions —
-  // shrinking them would perturb running VMs' cache contents).
-  while (!next.mapping.vcpus_on_core.empty() &&
-         next.mapping.vcpus_on_core.back().empty()) {
-    next.mapping.vcpus_on_core.pop_back();
-    next.mapping.cache.pop_back();
-    next.mapping.bw.pop_back();
-    --next.mapping.cores_used;
-  }
-  next.mapping.schedulable = true;
-  return next;
+AdmissionState remove_vm(AdmissionState current, int vm_id) {
+  VC2M_CHECK_MSG(holds_vm(current, vm_id), "VM id not present");
+  std::vector<RemovedVcpu> removed;
+  erase_vm(current, vm_id, removed);
+  return current;
 }
 
-AdmitResult resize_vm(const AdmissionState& current,
-                      const model::Taskset& new_tasks, int vm_id,
-                      const model::PlatformSpec& platform,
+AdmitResult resize_vm(AdmissionState current, const model::Taskset& new_tasks,
+                      int vm_id, const model::PlatformSpec& platform,
                       const VmAllocConfig& vm_cfg, util::Rng& rng) {
-  bool present = false;
-  for (const auto& v : current.vcpus) present = present || v.vm == vm_id;
-  VC2M_CHECK_MSG(present, "resize: VM id not present");
-  // remove_vm and admit_vm are both purely functional, so the rollback on
-  // rejection is the absence of an assignment: `current` still holds the
-  // original VM and nothing observed the intermediate removed state.
-  const AdmissionState without = remove_vm(current, vm_id);
-  return admit_vm(without, new_tasks, vm_id, platform, vm_cfg, rng);
+  VC2M_CHECK_MSG(holds_vm(current, vm_id), "resize: VM id not present");
+  check_vm_tasks(new_tasks, vm_id);
+
+  AdmitResult result;
+  result.request_id = vm_cfg.request_id;
+  HvAllocResult saved = current.mapping;
+  std::vector<RemovedVcpu> removed;
+  erase_vm(current, vm_id, removed);
+  const std::size_t n0 = current.vcpus.size();
+  result.admitted =
+      place_vm(current, new_tasks, vm_id, platform, vm_cfg, rng);
+  if (!result.admitted) {
+    // The original VM is never lost to a failed resize: its VCPUs go back
+    // to their old indices, which the restored mapping refers to.
+    roll_back(current, n0, saved);
+    for (auto& [i, v] : removed)
+      current.vcpus.insert(
+          current.vcpus.begin() + static_cast<std::ptrdiff_t>(i),
+          std::move(v));
+  }
+  result.state = std::move(current);
+  return result;
 }
 
 }  // namespace vc2m::core

@@ -244,8 +244,7 @@ BenchReport read_bench_report(std::istream& is) {
 }
 
 BenchReport read_bench_report_file(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
+  std::ifstream f = util::open_input_file(path, "bench report");
   return read_bench_report(f);
 }
 

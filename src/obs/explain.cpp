@@ -395,8 +395,7 @@ ExplainReport read_explain_report(std::istream& is) {
 }
 
 ExplainReport read_explain_report_file(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
+  std::ifstream f = util::open_input_file(path, "explain report");
   return read_explain_report(f);
 }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace vc2m::obs::json {
 
@@ -20,12 +21,20 @@ class Parser {
   Value parse() {
     Value v = value();
     skip_ws();
-    VC2M_CHECK_MSG(pos_ == s_.size(),
-                   what_ << " JSON: trailing garbage at offset " << pos_);
+    if (pos_ != s_.size()) fail("trailing garbage at offset", pos_);
     return v;
   }
 
  private:
+  /// A malformed document is the input's fault, so the error carries the
+  /// message and the byte offset, not a source location.
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw util::Error(what_ + " JSON: " + msg);
+  }
+  [[noreturn]] void fail(const std::string& msg, std::size_t offset) const {
+    fail(msg + " " + std::to_string(offset));
+  }
+
   void skip_ws() {
     while (pos_ < s_.size() &&
            (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
@@ -35,14 +44,14 @@ class Parser {
 
   char peek() {
     skip_ws();
-    VC2M_CHECK_MSG(pos_ < s_.size(), what_ << " JSON: unexpected end");
+    if (pos_ >= s_.size()) fail("unexpected end");
     return s_[pos_];
   }
 
   void expect(char c) {
-    VC2M_CHECK_MSG(peek() == c, what_ << " JSON: expected '" << c
-                                      << "' at offset " << pos_ << ", got '"
-                                      << s_[pos_] << "'");
+    if (peek() != c)
+      fail(std::string("expected '") + c + "' at offset " +
+           std::to_string(pos_) + ", got '" + s_[pos_] + "'");
     ++pos_;
   }
 
@@ -81,18 +90,15 @@ class Parser {
       // NaN / Infinity / -Infinity are not JSON. Name them explicitly: the
       // generic "expected a value" message would hide what went wrong.
       case 'N':
-      case 'I':
-        VC2M_CHECK_MSG(false, what_ << " JSON: non-finite number at offset "
-                                    << pos_);
-        std::abort();  // unreachable
+      case 'I': fail("non-finite number at offset", pos_);
       default: return number_value();
     }
   }
 
   void literal(const char* word) {
     for (const char* p = word; *p; ++p) {
-      VC2M_CHECK_MSG(pos_ < s_.size() && s_[pos_] == *p,
-                     what_ << " JSON: bad literal at offset " << pos_);
+      if (pos_ >= s_.size() || s_[pos_] != *p)
+        fail("bad literal at offset", pos_);
       ++pos_;
     }
   }
@@ -111,30 +117,58 @@ class Parser {
 
   Value number_value() {
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) {
-      VC2M_CHECK_MSG(pos_ + 1 >= s_.size() ||
-                         (s_[pos_ + 1] != 'I' && s_[pos_ + 1] != 'N'),
-                     what_ << " JSON: non-finite number at offset " << start);
-    }
+    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+') &&
+        pos_ + 1 < s_.size() && (s_[pos_ + 1] == 'I' || s_[pos_ + 1] == 'N'))
+      fail("non-finite number at offset", start);
     while (pos_ < s_.size() &&
            (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
             s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
             s_[pos_] == 'e' || s_[pos_] == 'E'))
       ++pos_;
-    VC2M_CHECK_MSG(pos_ > start,
-                   what_ << " JSON: expected a value at offset " << start);
-    const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    VC2M_CHECK_MSG(end && *end == '\0', what_ << " JSON: bad number '" << tok
-                                              << "' at offset " << start);
-    VC2M_CHECK_MSG(std::isfinite(d),
-                   what_ << " JSON: non-finite number '" << tok
-                         << "' at offset " << start);
+    if (pos_ == start) fail("expected a value at offset", start);
+    const std::string_view tok(s_.data() + start, pos_ - start);
+    const std::string quoted = "'" + std::string(tok) + "' at offset";
+    if (!json_number_syntax(tok)) fail("bad number " + quoted, start);
+    // A well-formed number parse_double refuses lies outside the double
+    // range: past its largest value (1e999, read as infinity elsewhere) or,
+    // with a negative exponent, below its least subnormal (1e-400).
+    const std::optional<double> d = util::parse_double(tok);
+    if (!d) {
+      const bool tiny =
+          tok.find("e-") != tok.npos || tok.find("E-") != tok.npos;
+      fail(std::string(tiny ? "number underflows the double range "
+                            : "non-finite number ") +
+               quoted,
+           start);
+    }
     Value v;
     v.kind = Value::Kind::kNumber;
-    v.number = d;
+    v.number = *d;
     return v;
+  }
+
+  /// RFC 8259 number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// — no '+' sign, no leading zeros, no bare '.' or exponent.
+  static bool json_number_syntax(std::string_view t) {
+    std::size_t i = 0;
+    const auto digits = [&] {
+      const std::size_t from = i;
+      while (i < t.size() && std::isdigit(static_cast<unsigned char>(t[i])))
+        ++i;
+      return i > from;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    if (i < t.size() && t[i] == '0')
+      ++i;
+    else if (!digits())
+      return false;
+    if (i < t.size() && t[i] == '.' && (++i, !digits())) return false;
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+      if (!digits()) return false;
+    }
+    return i == t.size();
   }
 
   /// The character of a \uXXXX escape, pos_ just past the 'u'. Only
@@ -143,16 +177,13 @@ class Parser {
   char ascii_escape() {
     const std::size_t at = pos_;
     const std::string hex = s_.substr(pos_, 4);
-    VC2M_CHECK_MSG(hex.size() == 4 &&
-                       std::all_of(hex.begin(), hex.end(),
-                                   [](unsigned char h) {
-                                     return std::isxdigit(h) != 0;
-                                   }),
-                   what_ << " JSON: bad \\u escape at offset " << at);
+    if (hex.size() != 4 ||
+        !std::all_of(hex.begin(), hex.end(), [](unsigned char h) {
+          return std::isxdigit(h) != 0;
+        }))
+      fail("bad \\u escape at offset", at);
     const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
-    VC2M_CHECK_MSG(cp < 0x80, what_ << " JSON: unsupported non-ASCII \\u "
-                                       "escape at offset "
-                                    << at);
+    if (cp >= 0x80) fail("unsupported non-ASCII \\u escape at offset", at);
     pos_ += 4;
     return static_cast<char>(cp);
   }
@@ -161,11 +192,11 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      VC2M_CHECK_MSG(pos_ < s_.size(), what_ << " JSON: unterminated string");
+      if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') break;
       if (c == '\\') {
-        VC2M_CHECK_MSG(pos_ < s_.size(), what_ << " JSON: dangling escape");
+        if (pos_ >= s_.size()) fail("dangling escape");
         const char e = s_[pos_++];
         switch (e) {
           case '"': out.push_back('"'); break;
@@ -175,15 +206,11 @@ class Parser {
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
           case 'u': out.push_back(ascii_escape()); break;
-          default:
-            VC2M_CHECK_MSG(false, what_ << " JSON: unsupported escape '\\"
-                                        << e << "'");
+          default: fail(std::string("unsupported escape '\\") + e + "'");
         }
       } else {
-        VC2M_CHECK_MSG(static_cast<unsigned char>(c) >= 0x20,
-                       what_ << " JSON: raw control character in string at "
-                                "offset "
-                             << pos_ - 1);
+        if (static_cast<unsigned char>(c) < 0x20)
+          fail("raw control character in string at offset", pos_ - 1);
         out.push_back(c);
       }
     }
@@ -211,9 +238,8 @@ class Parser {
       skip_ws();
       const std::size_t key_at = pos_;
       std::string key = string();
-      VC2M_CHECK_MSG(v.find(key) == nullptr,
-                     what_ << " JSON: duplicate key '" << key
-                           << "' at offset " << key_at);
+      if (v.find(key) != nullptr)
+        fail("duplicate key '" + key + "' at offset", key_at);
       expect(':');
       Value member = value();
       member.key_offset = key_at;

@@ -137,8 +137,7 @@ std::vector<RequestSpan> read_span_trace(std::istream& is) {
 }
 
 std::vector<RequestSpan> read_span_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
+  std::ifstream f = util::open_input_file(path, "span trace");
   return read_span_trace(f);
 }
 

@@ -945,7 +945,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
             rec.cost_ns = 2'000;
           } else {
             const std::size_t before = st.adm.vcpus.size();
-            st.adm = core::remove_vm(st.adm, req.vm);
+            st.adm = core::remove_vm(std::move(st.adm), req.vm);
             rec.outcome = Outcome::kRemoved;
             rec.cost_ns =
                 8'000 + 2'000 * static_cast<std::int64_t>(
@@ -984,22 +984,18 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
             util::Rng rng(mix_seed(cfg.seed, entry.seq, entry.attempt));
             core::VmAllocConfig vmc = cfg.vm_cfg;
             vmc.request_id = static_cast<std::int64_t>(entry.seq);
+            const bool admit = req.kind == RequestKind::kAdmit;
             core::AdmitResult r =
-                req.kind == RequestKind::kAdmit
-                    ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform,
-                                     vmc, rng)
-                    : core::resize_vm(st.adm, tasks, req.vm, cfg.platform,
-                                      vmc, rng);
-            if (r.admitted) {
-              st.adm = std::move(r.state);
-              rec.outcome = req.kind == RequestKind::kAdmit
-                                ? Outcome::kAdmitted
-                                : Outcome::kResized;
-            } else {
-              rec.outcome = req.kind == RequestKind::kAdmit
-                                ? Outcome::kRejected
-                                : Outcome::kResizeRejected;
-            }
+                admit ? core::admit_vm(std::move(st.adm), tasks, req.vm,
+                                       cfg.platform, vmc, rng)
+                      : core::resize_vm(std::move(st.adm), tasks, req.vm,
+                                        cfg.platform, vmc, rng);
+            st.adm = std::move(r.state);  // the input back on rejection
+            if (r.admitted)
+              rec.outcome = admit ? Outcome::kAdmitted : Outcome::kResized;
+            else
+              rec.outcome =
+                  admit ? Outcome::kRejected : Outcome::kResizeRejected;
             rec.cost_ns = solve_cost(counters.counters());
             update_est(rec.cost_ns, rec.tasks);
           }

@@ -11,10 +11,12 @@
 //
 // Three robustness mechanisms interlock:
 //
-//  - Transactions. admit/resize go through the purely functional
-//    core::admit_vm / core::resize_vm: a rejected request leaves the
-//    running system untouched by construction, and the per-request
-//    decision log records why either way.
+//  - Transactions. admit/resize/remove move the running state through
+//    core::admit_vm / core::resize_vm / core::remove_vm, which work on it
+//    in place and hand it back on every outcome; a rejected request comes
+//    back byte-identical (the solver rolls its partial placement back), so
+//    a decision copies no state, and the per-request decision log records
+//    why either way.
 //
 //  - Crash safety. With --journal, every terminal decision is appended to
 //    a checksummed write-ahead journal (service/journal.h) and fsync'd

@@ -7,6 +7,7 @@
 
 #include "service/journal.h"
 #include "util/error.h"
+#include "util/file.h"
 #include "util/parse.h"
 #include "util/record.h"
 
@@ -169,8 +170,7 @@ void write_span_dump(const std::string& path, const SpanRing& ring) {
 }
 
 std::vector<obs::RequestSpan> read_span_dump(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open span dump '" << path << "'");
+  std::ifstream f = util::open_input_file(path, "span dump");
   std::string line;
   VC2M_CHECK_MSG(std::getline(f, line) &&
                      line.rfind(std::string(kSpanDumpSchema) + " ", 0) == 0,

@@ -1,5 +1,6 @@
-// Output-file helpers shared by every artifact writer (traces, bench /
-// explain / scenario reports, taskset CSVs).
+// File-open helpers shared by every artifact writer (traces, bench /
+// explain / scenario reports, taskset CSVs) and by the readers of those
+// artifacts.
 //
 // A bare `std::ofstream(path)` fails silently in two ways the CLI must not:
 // the constructor only sets failbit (a caller that forgets to test it
@@ -28,6 +29,23 @@ inline std::ofstream open_output_file(const std::string& path,
                                       const std::string& what) {
   errno = 0;
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f.good()) {
+    const int err = errno;
+    throw Error("cannot open " + what + " '" + path + "'" +
+                (err ? std::string(": ") + std::strerror(err) : ""));
+  }
+  return f;
+}
+
+/// Open `path` for reading or throw util::Error naming the artifact, the
+/// path, and strerror(errno). A missing input is the user's error, so the
+/// message carries no source location — e.g. `vc2m perfdiff missing.json
+/// x.json` prints "cannot open bench report 'missing.json': No such file
+/// or directory".
+inline std::ifstream open_input_file(const std::string& path,
+                                     const std::string& what) {
+  errno = 0;
+  std::ifstream f(path);
   if (!f.good()) {
     const int err = errno;
     throw Error("cannot open " + what + " '" + path + "'" +

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/file.h"
 
 namespace vc2m::util {
 
@@ -65,8 +66,7 @@ class Table {
   }
 
   void write_csv(const std::string& path) const {
-    std::ofstream f(path);
-    VC2M_CHECK_MSG(f.good(), "cannot open " << path);
+    std::ofstream f = open_output_file(path, "table CSV");
     auto write_row = [&](const std::vector<std::string>& row) {
       for (std::size_t c = 0; c < row.size(); ++c)
         f << (c == 0 ? "" : ",") << row[c];
@@ -74,6 +74,7 @@ class Table {
     };
     write_row(header_);
     for (const auto& row : rows_) write_row(row);
+    close_output_file(f, path, "table CSV");
   }
 
  private:

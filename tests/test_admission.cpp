@@ -7,6 +7,7 @@
 #include "core/admission.h"
 #include "core/solutions.h"
 #include "model/platform.h"
+#include "obs/decision_log.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -56,6 +57,60 @@ void expect_consistent(const AdmissionState& st,
   EXPECT_EQ(placed, st.vcpus.size());
 }
 
+/// Canonical byte-exact rendering of an AdmissionState: every VCPU (vm,
+/// period, task indices, full budget surface) and every core (cache, bw,
+/// residents). Two states with equal fingerprints are indistinguishable to
+/// the analysis.
+std::string fingerprint(const AdmissionState& st) {
+  std::ostringstream os;
+  for (const auto& v : st.vcpus) {
+    os << v.vm << ":" << v.period.raw_ns() << ":";
+    for (const std::size_t t : v.tasks) os << t << ",";
+    const auto& g = v.budget.grid();
+    for (unsigned c = g.c_min; c <= g.c_max; ++c)
+      for (unsigned b = g.b_min; b <= g.b_max; ++b)
+        os << v.budget.at(c, b).raw_ns() << ";";
+    os << "|";
+  }
+  const auto& m = st.mapping;
+  os << m.schedulable << "/" << m.cores_used << "/";
+  for (std::size_t k = 0; k < m.vcpus_on_core.size(); ++k) {
+    os << m.cache[k] << "+" << m.bw[k] << "[";
+    for (const std::size_t vi : m.vcpus_on_core[k]) os << vi << ",";
+    os << "]";
+  }
+  return os.str();
+}
+
+/// The copying remove_vm the in-place one replaced, kept as an oracle:
+/// build a fresh state from the survivors and remap every core list.
+AdmissionState remove_vm_oracle(const AdmissionState& current, int vm_id) {
+  AdmissionState next;
+  next.mapping = current.mapping;
+  std::vector<std::size_t> remap(current.vcpus.size(),
+                                 current.vcpus.size());
+  for (std::size_t i = 0; i < current.vcpus.size(); ++i) {
+    if (current.vcpus[i].vm == vm_id) continue;
+    remap[i] = next.vcpus.size();
+    next.vcpus.push_back(current.vcpus[i]);
+  }
+  for (auto& core : next.mapping.vcpus_on_core) {
+    std::vector<std::size_t> kept;
+    for (const std::size_t v : core)
+      if (remap[v] < current.vcpus.size()) kept.push_back(remap[v]);
+    core = std::move(kept);
+  }
+  while (!next.mapping.vcpus_on_core.empty() &&
+         next.mapping.vcpus_on_core.back().empty()) {
+    next.mapping.vcpus_on_core.pop_back();
+    next.mapping.cache.pop_back();
+    next.mapping.bw.pop_back();
+    --next.mapping.cores_used;
+  }
+  next.mapping.schedulable = true;
+  return next;
+}
+
 TEST(Admission, SmallVmJoinsRunningSystem) {
   const auto platform = PlatformSpec::A();
   const auto base = boot_system(0.8, 10);
@@ -101,10 +156,12 @@ TEST(Admission, OverloadIsRejectedAtomically) {
   Rng rng(32);
   VmAllocConfig vm;
   vm.max_vcpus_per_vm = platform.cores;
-  const auto res = admit_vm(base, monster, 1, platform, vm, rng);
+  AdmissionState input = base;
+  const auto res = admit_vm(std::move(input), monster, 1, platform, vm, rng);
   EXPECT_FALSE(res.admitted);
-  // Rejection leaves no partial state behind.
-  EXPECT_TRUE(res.state.vcpus.empty());
+  // Rejection leaves no partial state behind: the moved-in state comes
+  // back exactly as it went in.
+  EXPECT_EQ(fingerprint(res.state), fingerprint(base));
 }
 
 TEST(Admission, DuplicateVmIdRejected) {
@@ -134,31 +191,6 @@ TEST(Admission, RemoveVmCompactsState) {
 TEST(Admission, RemoveUnknownVmThrows) {
   const auto base = boot_system(0.5, 60);
   EXPECT_THROW(remove_vm(base, 77), util::Error);
-}
-
-/// Canonical byte-exact rendering of an AdmissionState: every VCPU (vm,
-/// period, task indices, full budget surface) and every core (cache, bw,
-/// residents). Two states with equal fingerprints are indistinguishable to
-/// the analysis.
-std::string fingerprint(const AdmissionState& st) {
-  std::ostringstream os;
-  for (const auto& v : st.vcpus) {
-    os << v.vm << ":" << v.period.raw_ns() << ":";
-    for (const std::size_t t : v.tasks) os << t << ",";
-    const auto& g = v.budget.grid();
-    for (unsigned c = g.c_min; c <= g.c_max; ++c)
-      for (unsigned b = g.b_min; b <= g.b_max; ++b)
-        os << v.budget.at(c, b).raw_ns() << ";";
-    os << "|";
-  }
-  const auto& m = st.mapping;
-  os << m.schedulable << "/" << m.cores_used << "/";
-  for (std::size_t k = 0; k < m.vcpus_on_core.size(); ++k) {
-    os << m.cache[k] << "+" << m.bw[k] << "[";
-    for (const std::size_t vi : m.vcpus_on_core[k]) os << vi << ",";
-    os << "]";
-  }
-  return os.str();
 }
 
 TEST(AdmissionProperty, RandomChurnEndingEmptyFreesEverything) {
@@ -211,8 +243,10 @@ TEST(AdmissionProperty, RandomChurnEndingEmptyFreesEverything) {
 }
 
 TEST(AdmissionProperty, RejectionLeavesCallerStateByteIdentical) {
-  // Property: a rejected admission is a pure no-op — the caller's state is
-  // byte-identical afterwards, across many randomized oversized requests.
+  // Property: a rejected admission is a pure no-op — the state it hands
+  // back is the moved-in input, byte-identical, and a caller that passed
+  // an lvalue still holds its own untouched, across many randomized
+  // oversized requests.
   const auto platform = PlatformSpec::A();
   const auto base = boot_system(1.2, 90);
   ASSERT_TRUE(base.mapping.schedulable);
@@ -223,11 +257,14 @@ TEST(AdmissionProperty, RejectionLeavesCallerStateByteIdentical) {
   int rejections = 0;
   for (int i = 1; i <= 8; ++i) {
     const auto monster = vm_taskset(2.5 + 0.5 * i, i, 92 + i);
-    const auto res = admit_vm(base, monster, i, platform, vm, rng);
+    AdmissionState input = base;
+    const auto res = admit_vm(std::move(input), monster, i, platform, vm, rng);
     if (!res.admitted) {
       ++rejections;
-      EXPECT_TRUE(res.state.vcpus.empty());
+      EXPECT_EQ(fingerprint(res.state), before) << "request " << i;
     }
+    Rng lvalue_rng(192 + i);
+    admit_vm(base, monster, i, platform, vm, lvalue_rng);
     EXPECT_EQ(fingerprint(base), before) << "request " << i;
   }
   EXPECT_GT(rejections, 0) << "no request was large enough to be rejected";
@@ -248,10 +285,11 @@ TEST(AdmissionProperty, ResizeRollbackKeepsOriginalByteIdentical) {
   // A resize to an impossible workload must be rejected and roll back: the
   // original VM keeps running exactly as it was.
   const auto monster = vm_taskset(4.0, 1, 98);
-  const auto rejected = resize_vm(state, monster, 1, platform, vm, rng);
+  AdmissionState input = state;
+  const auto rejected =
+      resize_vm(std::move(input), monster, 1, platform, vm, rng);
   EXPECT_FALSE(rejected.admitted);
-  EXPECT_TRUE(rejected.state.vcpus.empty());
-  EXPECT_EQ(fingerprint(state), before);
+  EXPECT_EQ(fingerprint(rejected.state), before);
 
   // A feasible resize commits: vm 1 present, system consistent.
   const auto grown = vm_taskset(0.35, 1, 99);
@@ -294,6 +332,129 @@ TEST(Admission, AdmitRemoveCycleIsStable) {
   }
   EXPECT_EQ(state.vcpus.size(), original);
   expect_consistent(state, platform);
+}
+
+TEST(AdmissionProperty, RejectionAfterPartialPlacementRestoresInput) {
+  // A VM whose first VCPUs find cores but a later one does not: the VCPUs
+  // already placed and the partitions granted to them must be rolled back.
+  // The rejecting verdict names the VCPU that failed; an index past the
+  // input's size means earlier VCPUs of the VM had been placed.
+  const auto platform = PlatformSpec::A();
+  VmAllocConfig vm;
+  vm.max_vcpus_per_vm = platform.cores;
+  int rejections = 0;
+  int partial = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const auto base = boot_system(0.4 + 0.1 * static_cast<double>(seed % 8),
+                                  300 + seed);
+    const auto big = vm_taskset(
+        1.0 + 0.25 * static_cast<double>(seed % 6), 1, 400 + seed);
+    const std::string before = fingerprint(base);
+    obs::DecisionLog log;
+    Rng rng(500 + seed);
+    AdmissionState input = base;
+    AdmitResult res;
+    {
+      obs::DecisionLogScope scope(log);
+      res = admit_vm(std::move(input), big, 1, platform, vm, rng);
+    }
+    if (res.admitted) continue;
+    ++rejections;
+    EXPECT_EQ(fingerprint(res.state), before) << "seed " << seed;
+    for (const auto& e : log.events())
+      if (e.kind == obs::DecisionKind::kAdmitVerdict && !e.accepted &&
+          static_cast<std::size_t>(e.entity) > base.vcpus.size())
+        ++partial;
+  }
+  EXPECT_GT(partial, 0) << "none of " << rejections
+                        << " rejections came after a partial placement";
+}
+
+TEST(AdmissionProperty, ResizeRejectionRestoresVcpusAtTheirIndices) {
+  // The resized VM sits between two others, so its VCPUs leave a gap when
+  // removed; a rejected moved-in resize must put them back into that gap,
+  // where the restored core lists point.
+  const auto platform = PlatformSpec::A();
+  auto state = boot_system(0.5, 200);
+  Rng rng(201);
+  VmAllocConfig vm;
+  vm.max_vcpus_per_vm = platform.cores;
+  for (int id = 1; id <= 2; ++id) {
+    auto res = admit_vm(std::move(state), vm_taskset(0.3, id, 201 + id), id,
+                        platform, vm, rng);
+    ASSERT_TRUE(res.admitted) << "vm " << id;
+    state = std::move(res.state);
+  }
+  ASSERT_EQ(state.vcpus.back().vm, 2);
+  const AdmissionState original = state;
+  const std::string before = fingerprint(state);
+
+  const auto res = resize_vm(std::move(state), vm_taskset(4.0, 1, 210), 1,
+                             platform, vm, rng);
+  ASSERT_FALSE(res.admitted);
+  EXPECT_EQ(fingerprint(res.state), before);
+  ASSERT_EQ(res.state.vcpus.size(), original.vcpus.size());
+  for (std::size_t i = 0; i < original.vcpus.size(); ++i)
+    EXPECT_EQ(res.state.vcpus[i].vm, original.vcpus[i].vm) << "vcpu " << i;
+}
+
+TEST(AdmissionProperty, InPlaceRemoveMatchesCopyingOracle) {
+  // Seeded admit/remove/resize churn over moved-in states. Every remove is
+  // checked against the copying oracle, every resize against the oracle's
+  // remove followed by an admit drawing the same random stream (and, when
+  // rejected, against its own input).
+  const auto platform = PlatformSpec::A();
+  VmAllocConfig vm;
+  vm.max_vcpus_per_vm = platform.cores;
+  int removes = 0, resizes = 0, resize_rejections = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    AdmissionState state;
+    std::vector<int> live;
+    int next_vm = 0;
+    for (int step = 0; step < 40; ++step) {
+      const double roll = rng.uniform01();
+      const auto task_seed = 7000 + 100 * seed + static_cast<unsigned>(step);
+      if (!live.empty() && roll < 0.3) {
+        const std::size_t i = rng.index(live.size());
+        const AdmissionState expect = remove_vm_oracle(state, live[i]);
+        state = remove_vm(std::move(state), live[i]);
+        EXPECT_EQ(fingerprint(state), fingerprint(expect)) << "step " << step;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        ++removes;
+      } else if (!live.empty() && roll < 0.55) {
+        const int id = live[rng.index(live.size())];
+        const auto tasks =
+            vm_taskset(0.2 + 1.8 * rng.uniform01(), id, task_seed);
+        const std::uint64_t stream = rng();
+        const std::string before = fingerprint(state);
+        Rng oracle_rng(stream);
+        const auto oracle = admit_vm(remove_vm_oracle(state, id), tasks, id,
+                                     platform, vm, oracle_rng);
+        Rng resize_rng(stream);
+        auto res =
+            resize_vm(std::move(state), tasks, id, platform, vm, resize_rng);
+        EXPECT_EQ(res.admitted, oracle.admitted) << "step " << step;
+        EXPECT_EQ(fingerprint(res.state),
+                  res.admitted ? fingerprint(oracle.state) : before)
+            << "step " << step;
+        state = std::move(res.state);
+        ++resizes;
+        resize_rejections += res.admitted ? 0 : 1;
+      } else {
+        const int id = next_vm++;
+        const auto tasks =
+            vm_taskset(0.1 + 0.3 * rng.uniform01(), id, task_seed);
+        auto res = admit_vm(std::move(state), tasks, id, platform, vm, rng);
+        state = std::move(res.state);
+        if (res.admitted) live.push_back(id);
+      }
+      expect_consistent(state, platform);
+    }
+  }
+  EXPECT_GT(removes, 0);
+  EXPECT_GT(resizes, 0);
+  EXPECT_GT(resize_rejections, 0) << "no resize was rejected";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // reports and the perfdiff gate.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -887,6 +888,42 @@ TEST(BenchReport, ReaderRejectsNonFiniteNumbersWithFilePosition) {
           << bad << ": " << what;
     }
   }
+}
+
+TEST(BenchReport, ReaderRejectsMalformedNumbersAtTheirOffset) {
+  // Numbers go through util::parse_double: an overflowing one and the
+  // JSON-invalid '+1' are input errors that name the byte offset, not
+  // failed checks that name a source file.
+  for (const char* bad : {"1e999", "1e-400", "+1", "01", "1.", ".5", "1e"}) {
+    const std::string doc =
+        std::string("{\"schema\": \"vc2m-bench-report/1\", \"x\": ") + bad +
+        "}";
+    std::stringstream ss(doc);
+    try {
+      read_bench_report(ss);
+      FAIL() << "accepted " << bad;
+    } catch (const util::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + bad + "' at offset " +
+                          std::to_string(doc.find(bad))),
+                std::string::npos)
+          << bad << ": " << what;
+      EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(BenchReport, EveryCommittedReportStillReads) {
+  int reports = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VC2M_BENCH_RESULTS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    const BenchReport r = read_bench_report_file(entry.path().string());
+    EXPECT_FALSE(r.phases.children.empty()) << entry.path();
+    ++reports;
+  }
+  EXPECT_GE(reports, 2) << "no committed bench reports found";
 }
 
 TEST(BenchReport, ReaderRangeChecksEveryIntegerField) {

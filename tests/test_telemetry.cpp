@@ -21,6 +21,8 @@
 
 #include "core/admission.h"
 #include "model/platform.h"
+#include "obs/bench_report.h"
+#include "obs/explain.h"
 #include "obs/request_span.h"
 #include "service/journal.h"
 #include "service/report.h"
@@ -29,6 +31,7 @@
 #include "service/trace_gen.h"
 #include "util/error.h"
 #include "util/log_histogram.h"
+#include "util/table.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -620,6 +623,34 @@ TEST(ServeReportNotes, UnknownFieldSurfacedNotRejected) {
   // Without a notes sink the field is silently skipped, still no throw.
   std::istringstream is2(text);
   EXPECT_NO_THROW(read_serve_report(is2));
+}
+
+TEST(InputErrors, MissingFilesReportTheMessageAlone) {
+  // A file the user named that cannot be opened is an input error: the
+  // message names the artifact and the path, never a source location.
+  const std::string missing = "no/such/dir/missing.json";
+  const auto expect_clean = [&](const char* what, auto&& open) {
+    try {
+      open();
+      FAIL() << what << ": opened " << missing;
+    } catch (const util::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("cannot open"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(missing), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".h:"), std::string::npos) << msg;
+    }
+  };
+  expect_clean("bench report", [&] { obs::read_bench_report_file(missing); });
+  expect_clean("explain report",
+               [&] { obs::read_explain_report_file(missing); });
+  expect_clean("span trace", [&] { obs::read_span_trace_file(missing); });
+  expect_clean("span dump", [&] { read_span_dump(missing); });
+  expect_clean("table CSV", [&] {
+    util::Table t({"a"});
+    t.write_csv(missing);
+  });
 }
 
 }  // namespace
